@@ -2024,6 +2024,47 @@ mod tests {
     }
 
     #[test]
+    fn dram_sized_compaction_programs_only_its_outputs() {
+        let dev = device();
+        let ks = create(&dev, "small");
+        for i in (0..2000).rev() {
+            ok(dev.handle(KvCommand::Put {
+                ks,
+                key: key(i),
+                value: value(i),
+            }));
+        }
+        ok(dev.handle(KvCommand::Compact { ks }));
+        let mgr = dev.zone_manager();
+        let meta_pages = || -> u64 {
+            (0..META_ZONES)
+                .map(|z| mgr.zns().zone_info(z).unwrap().write_pointer_pages as u64)
+                .sum()
+        };
+        let (meta0, snaps0) = (meta_pages(), dev.persisted_snapshots());
+        let before = dev.soc().ledger().snapshot();
+        dev.run_pending_jobs();
+        let d = dev.soc().ledger().snapshot().since(&before);
+        let (pidx, svalues) = dev
+            .keyspaces()
+            .with(ks, |k| {
+                Ok((k.storage.pidx.unwrap().0, k.storage.svalues.unwrap().0))
+            })
+            .unwrap();
+        let outputs = mgr.cluster_blocks(pidx).unwrap() + mgr.cluster_blocks(svalues).unwrap();
+        // The job persists the keyspace table once, appending to the
+        // active metadata zone (no ping-pong flip on a fresh device).
+        assert_eq!(dev.persisted_snapshots(), snaps0 + 1);
+        let meta = meta_pages() - meta0;
+        assert!(meta > 0);
+        assert_eq!(
+            d.nand_program_pages,
+            outputs + meta,
+            "only PIDX, SORTED_VALUES and the table snapshot are programmed"
+        );
+    }
+
+    #[test]
     fn delete_writable_keyspace_releases_ingest_buffer() {
         let dev = device();
         let ks = create(&dev, "w");
@@ -2730,11 +2771,14 @@ mod tests {
         ok(dev.handle(KvCommand::Compact { ks }));
         let free_sealed = dev.zone_manager().free_zones();
         // Fail reads with ~15% probability: compaction gets partway
-        // through (allocating output clusters) before dying.
+        // through (allocating output clusters) before dying. A keyspace
+        // this small sorts in DRAM, so the job reads only its 2 KLOG and
+        // 3 VLOG pages; this seed fails the last VLOG read, after PIDX is
+        // allocated.
         arm_faults(
             &dev,
             kvcsd_sim::FaultPlan {
-                seed: 21,
+                seed: 1,
                 read_error_prob: 0.15,
                 ..kvcsd_sim::FaultPlan::none()
             }
@@ -2742,6 +2786,11 @@ mod tests {
         );
         dev.run_pending_jobs();
         disarm_faults(&dev);
+        assert_eq!(
+            dev.keyspaces().with(ks, |k| Ok(k.state)).unwrap(),
+            KeyspaceState::Degraded,
+            "the injected read faults must have killed the compaction"
+        );
         assert_eq!(
             dev.zone_manager().free_zones(),
             free_sealed,

@@ -11,6 +11,12 @@
 //! passes when the run count exceeds the DRAM-derived fan-in). Every
 //! comparison and byte moved is charged to the SoC; every spill and merge
 //! readback is real zone I/O.
+//!
+//! Flash work is kept to what the data needs. A run's size is known before
+//! its cluster is allocated, so it is striped `ceil(pages /
+//! pages_per_block)` zones wide (at most `cluster_width`): each zone fills
+//! one erase block and releasing the run erases the fewest blocks. A sort
+//! that never outgrows its reservation never touches flash at all.
 
 use std::cmp::Ordering;
 
@@ -124,7 +130,9 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         }
         self.soc.sort(self.buf.len());
         self.buf.sort_by(|a, b| a.cmp_key(b));
-        let cluster = self.mgr.alloc_cluster(self.cluster_width)?;
+        let cluster = self
+            .mgr
+            .alloc_cluster_for(self.buf_bytes, self.cluster_width)?;
         let mut w = BlockStreamWriter::new(cluster);
         let mut enc = Vec::with_capacity(BLOCK_BYTES);
         let count = self.buf.len() as u64;
@@ -149,53 +157,62 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         ((self.reservation.bytes() / (4 * BLOCK_BYTES as u64)) as usize).clamp(2, 64)
     }
 
-    /// Merge a group of runs into one new run.
-    fn merge_runs(&mut self, group: Vec<Run>) -> Result<Run> {
-        let cluster = self.mgr.alloc_cluster(self.cluster_width)?;
-        let mut w = BlockStreamWriter::new(cluster);
-        let mut count = 0u64;
-        let mut enc = Vec::with_capacity(BLOCK_BYTES);
-        {
-            let mut cursors: Vec<(StreamReader<'_>, u64, Option<R>)> = Vec::new();
-            for run in &group {
-                let mut r = StreamReader::new(self.mgr, run.cluster, run.len);
-                let first = if run.count > 0 {
-                    Some(R::read_from(&mut r)?)
-                } else {
-                    None
-                };
-                cursors.push((r, run.count.saturating_sub(1), first));
-            }
-            let k = cursors.len();
-            loop {
-                // Linear min selection: k is small (bounded by fan-in).
-                let mut best: Option<usize> = None;
-                let mut best_head: Option<&R> = None;
-                for (i, (_, _, head)) in cursors.iter().enumerate() {
-                    if let Some(h) = head {
-                        if best_head.is_none_or(|bh| h.cmp_key(bh) == Ordering::Less) {
-                            best = Some(i);
-                            best_head = Some(h);
-                        }
+    /// K-way merge `runs` in key order into `sink`, returning the number
+    /// of records emitted. Each emitted record costs one merge step.
+    fn merge(&self, runs: &[Run], mut sink: impl FnMut(R) -> Result<()>) -> Result<u64> {
+        let mut cursors: Vec<(StreamReader<'_>, u64, Option<R>)> = Vec::new();
+        for run in runs {
+            let mut r = StreamReader::new(self.mgr, run.cluster, run.len);
+            let first = if run.count > 0 {
+                Some(R::read_from(&mut r)?)
+            } else {
+                None
+            };
+            cursors.push((r, run.count.saturating_sub(1), first));
+        }
+        let k = cursors.len();
+        let mut emitted = 0u64;
+        loop {
+            // Linear min selection: k is small (bounded by fan-in).
+            let mut best: Option<usize> = None;
+            let mut best_head: Option<&R> = None;
+            for (i, (_, _, head)) in cursors.iter().enumerate() {
+                if let Some(h) = head {
+                    if best_head.is_none_or(|bh| h.cmp_key(bh) == Ordering::Less) {
+                        best = Some(i);
+                        best_head = Some(h);
                     }
                 }
-                let Some(b) = best else { break };
-                self.soc.merge_step(k);
-                let (reader, remaining, head) = &mut cursors[b];
-                let Some(rec) = head.take() else {
-                    return Err(DeviceError::Internal("merge cursor lost its head".into()));
-                };
-                if *remaining > 0 {
-                    *head = Some(R::read_from(reader)?);
-                    *remaining -= 1;
-                }
-                enc.clear();
-                rec.encode_into(&mut enc);
-                self.soc.bytes(enc.len());
-                w.append(self.mgr, &enc)?;
-                count += 1;
             }
+            let Some(b) = best else { break };
+            self.soc.merge_step(k);
+            let (reader, remaining, head) = &mut cursors[b];
+            let Some(rec) = head.take() else {
+                return Err(DeviceError::Internal("merge cursor lost its head".into()));
+            };
+            if *remaining > 0 {
+                *head = Some(R::read_from(reader)?);
+                *remaining -= 1;
+            }
+            sink(rec)?;
+            emitted += 1;
         }
+        Ok(emitted)
+    }
+
+    /// Merge a group of runs into one new run, sized to the group.
+    fn merge_runs(&self, group: Vec<Run>) -> Result<Run> {
+        let bytes = group.iter().map(|r| r.len).sum();
+        let cluster = self.mgr.alloc_cluster_for(bytes, self.cluster_width)?;
+        let mut w = BlockStreamWriter::new(cluster);
+        let mut enc = Vec::with_capacity(BLOCK_BYTES);
+        let count = self.merge(&group, |rec| {
+            enc.clear();
+            rec.encode_into(&mut enc);
+            self.soc.bytes(enc.len());
+            w.append(self.mgr, &enc)?;
+            Ok(())
+        })?;
         for run in group {
             self.mgr.release_cluster(run.cluster)?;
         }
@@ -210,6 +227,20 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
     /// Finish sorting, streaming every record in order into `consume`.
     /// Releases all temporary clusters and the DRAM reservation.
     pub fn finish_into(mut self, mut consume: impl FnMut(R) -> Result<()>) -> Result<u64> {
+        if self.runs.is_empty() {
+            // Everything fit the reservation: sort in place and stream the
+            // buffer out. No cluster, no program, no readback, no erase.
+            let mut buf = std::mem::take(&mut self.buf);
+            if !buf.is_empty() {
+                self.soc.sort(buf.len());
+                buf.sort_by(|a, b| a.cmp_key(b));
+            }
+            let n = buf.len() as u64;
+            for rec in buf {
+                consume(rec)?;
+            }
+            return Ok(n);
+        }
         self.spill()?;
         let fan_in = self.fan_in();
 
@@ -221,46 +252,9 @@ impl<'a, R: SortRecord> ExtSorter<'a, R> {
         }
 
         // Final pass: merge whatever remains straight into the consumer.
-        let runs: Vec<Run> = std::mem::take(&mut self.runs);
-        let mut emitted = 0u64;
-        {
-            let mut cursors: Vec<(StreamReader<'_>, u64, Option<R>)> = Vec::new();
-            for run in &runs {
-                let mut r = StreamReader::new(self.mgr, run.cluster, run.len);
-                let first = if run.count > 0 {
-                    Some(R::read_from(&mut r)?)
-                } else {
-                    None
-                };
-                cursors.push((r, run.count.saturating_sub(1), first));
-            }
-            let k = cursors.len().max(1);
-            loop {
-                let mut best: Option<usize> = None;
-                let mut best_head: Option<&R> = None;
-                for (i, (_, _, head)) in cursors.iter().enumerate() {
-                    if let Some(h) = head {
-                        if best_head.is_none_or(|bh| h.cmp_key(bh) == Ordering::Less) {
-                            best = Some(i);
-                            best_head = Some(h);
-                        }
-                    }
-                }
-                let Some(b) = best else { break };
-                self.soc.merge_step(k);
-                let (reader, remaining, head) = &mut cursors[b];
-                let Some(rec) = head.take() else {
-                    return Err(DeviceError::Internal("merge cursor lost its head".into()));
-                };
-                if *remaining > 0 {
-                    *head = Some(R::read_from(reader)?);
-                    *remaining -= 1;
-                }
-                consume(rec)?;
-                emitted += 1;
-            }
-        }
-        for run in runs {
+        // The runs stay owned by `self` so a failure releases them on drop.
+        let emitted = self.merge(&self.runs, consume)?;
+        for run in std::mem::take(&mut self.runs) {
             self.mgr.release_cluster(run.cluster)?;
         }
         // The DRAM reservation guard releases itself when `self` drops.
@@ -340,6 +334,26 @@ mod tests {
             .collect();
         assert_eq!(got, want);
         assert_eq!(dram.used(), 0, "reservation returned");
+    }
+
+    #[test]
+    fn sort_within_reservation_never_touches_flash() {
+        let (mgr, soc) = setup(64);
+        let dram = DramBudget::new(64 << 20);
+        let clusters = mgr.cluster_count();
+        let before = soc.ledger().snapshot();
+        let mut s = ExtSorter::new(&mgr, &soc, &dram, 4).unwrap();
+        for i in 0..1000u64 {
+            s.push(rec(999 - i)).unwrap();
+        }
+        assert_eq!(mgr.cluster_count(), clusters);
+        let n = s.finish_into(|_| Ok(())).unwrap();
+        assert_eq!(n, 1000);
+        let d = soc.ledger().snapshot().since(&before);
+        assert_eq!(d.nand_read_pages, 0);
+        assert_eq!(d.nand_program_pages, 0);
+        assert_eq!(d.nand_erase_blocks, 0);
+        assert_eq!(mgr.cluster_count(), clusters);
     }
 
     #[test]

@@ -213,6 +213,19 @@ impl ZoneManager {
         Ok(ClusterId(id))
     }
 
+    /// Allocate a cluster for a stream of known size: `bytes` spread so
+    /// that each zone fills one erase block, i.e. `ceil(pages /
+    /// pages_per_block)` zones wide, clamped to `1..=max_width`. Releasing
+    /// it then erases the fewest blocks the data can occupy. Streams whose
+    /// size is unknown up front, or that queries read back in parallel,
+    /// use [`alloc_cluster`](Self::alloc_cluster) instead.
+    pub fn alloc_cluster_for(&self, bytes: u64, max_width: u32) -> Result<ClusterId> {
+        let pages = bytes.div_ceil(BLOCK_BYTES as u64);
+        let pages_per_block = self.zns.nand().geometry().pages_per_block as u64;
+        let width = pages.div_ceil(pages_per_block).min(max_width.max(1) as u64) as u32;
+        self.alloc_cluster(width)
+    }
+
     /// Blocks appended to `cluster` so far.
     pub fn cluster_blocks(&self, cluster: ClusterId) -> Result<u64> {
         let inner = self.inner.lock();
@@ -692,6 +705,34 @@ mod tests {
             }],
         };
         assert!(ZoneManager::restore(Arc::clone(m.zns()), 1, 1, &state).is_err());
+    }
+
+    #[test]
+    fn sized_clusters_fill_whole_erase_blocks() {
+        // pages_per_block = 4, so a run of p pages wants ceil(p / 4) zones.
+        let m = mgr(8, 16);
+        let max_width = 4;
+        let width_for = |bytes: u64| {
+            let c = m.alloc_cluster_for(bytes, max_width).unwrap();
+            let w = m.cluster_zone_count(c).unwrap();
+            m.release_cluster(c).unwrap();
+            w
+        };
+        assert_eq!(width_for(0), 1, "an empty run still gets one zone");
+        assert_eq!(width_for(40 * BLOCK_BYTES as u64), max_width, "clamped");
+        for p in 1..=16u64 {
+            let c = m
+                .alloc_cluster_for(p * BLOCK_BYTES as u64 - 1, max_width)
+                .unwrap();
+            assert_eq!(m.cluster_zone_count(c).unwrap() as u64, p.div_ceil(4));
+            for i in 0..p {
+                m.append_block(c, &[i as u8; 16]).unwrap();
+            }
+            let before = m.zns().nand().ledger().snapshot();
+            m.release_cluster(c).unwrap();
+            let d = m.zns().nand().ledger().snapshot().since(&before);
+            assert_eq!(d.nand_erase_blocks, p.div_ceil(4), "run of {p} pages");
+        }
     }
 
     #[test]
