@@ -80,6 +80,12 @@ fn bench_bulk_pack() {
     });
 }
 
+fn bench_crc32() {
+    // One 4 KiB page, the unit every WAL frame and snapshot is checksummed in.
+    let page: Vec<u8> = (0..4096u32).map(|i| (i * 131) as u8).collect();
+    bench("crc32/4k", 10_000, 4096, || kvcsd_sim::bytes::crc32(&page));
+}
+
 fn fresh_fs() -> BlockFs {
     let geom = FlashGeometry {
         channels: 8,
@@ -223,6 +229,7 @@ fn main() {
     bench_bloom();
     bench_memtable();
     bench_bulk_pack();
+    bench_crc32();
     bench_sstable();
     bench_device_paths();
     bench_pidx_block();

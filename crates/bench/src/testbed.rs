@@ -8,11 +8,9 @@ use std::sync::Arc;
 
 use kvcsd_blockfs::{BlockFs, FsConfig};
 use kvcsd_client::KvCsd;
+use kvcsd_cluster::StackBuilder;
 use kvcsd_core::{DeviceConfig, KvCsdDevice};
-use kvcsd_flash::{
-    ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
-};
-use kvcsd_proto::DeviceHandler;
+use kvcsd_flash::{ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig};
 use kvcsd_sim::config::SimConfig;
 use kvcsd_sim::{IoLedger, PhaseRunner, TimeModel};
 
@@ -92,31 +90,22 @@ impl Testbed {
         let reserved =
             keyspaces.max(1) as u64 * 12 * self.cfg.hw.flash_channels as u64 * zone_bytes;
         let geom = self.geometry(capacity_bytes.max(1 << 20) * 6 + reserved);
-        let nand = Arc::new(NandArray::new(geom, &self.cfg.hw, Arc::clone(&self.ledger)));
-        let zns = Arc::new(ZonedNamespace::new(
-            nand,
-            ZnsConfig {
+        let stack = StackBuilder::new(geom)
+            .zns(ZnsConfig {
                 zone_blocks: 1,
                 max_open_zones: 1 << 20,
-            },
-        ));
-        let mut cfg = self.cfg.clone();
-        cfg.hw.soc_dram_bytes = soc_dram_bytes;
-        let dev = Arc::new(KvCsdDevice::new(
-            zns,
-            cfg.cost.clone(),
-            DeviceConfig {
+            })
+            .device(DeviceConfig {
                 cluster_width,
                 soc_dram_bytes,
                 seed: 0xC5D,
                 ..DeviceConfig::default()
-            },
-        ));
-        let client = KvCsd::connect(
-            Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&self.ledger),
-        );
-        (dev, client)
+            })
+            .sim(self.cfg.clone())
+            .ledger(Arc::clone(&self.ledger))
+            .build();
+        let client = KvCsd::connect(stack.handler(), Arc::clone(&self.ledger));
+        (Arc::clone(stack.device()), client)
     }
 
     /// Build the baseline's freshly-formatted filesystem over a

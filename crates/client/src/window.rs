@@ -1,9 +1,8 @@
 //! The in-flight window: per-op deadline and retry tracking over the
 //! pipelined `submit`/`poll_completions` transport path.
 //!
-//! [`InflightWindow`] is the one place in the client allowed to drive a
-//! [`QueuePair`] directly (the `window-bypass` checker rule enforces
-//! this). Every other client path — single-op calls, the bulk writer,
+//! [`InflightWindow`] is the one place in the client that drives a
+//! [`QueuePair`] directly. Every other client path — single-op calls, the bulk writer,
 //! the write accelerator — goes through it, so deadline propagation,
 //! retry accounting and completion matching have exactly one
 //! implementation.

@@ -42,11 +42,13 @@ pub mod model;
 pub mod replica;
 pub mod router;
 pub mod shard;
+pub mod stack;
 
 pub use model::{run_two_shard, ModelOutcome};
 pub use replica::{ReplicaLog, ShipError, ShipOutcome, ShipPolicy};
 pub use router::{ClusterRouter, FailoverEvent};
 pub use shard::{ShardHealth, ShardInstance};
+pub use stack::{DeviceStack, StackBuilder};
 
 use kvcsd_core::DeviceConfig;
 use kvcsd_flash::{FlashGeometry, ZnsConfig};

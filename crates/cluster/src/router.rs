@@ -318,7 +318,7 @@ impl ClusterRouter {
             } else {
                 0
             };
-            (ran, inst.injector().is_powered_off())
+            (ran, inst.is_powered_off())
         };
         // The guard is dropped before promotion: the RwLock shim is not
         // reentrant and failover takes the write side.
@@ -437,7 +437,7 @@ impl ClusterRouter {
                     }
                     Ok(_) => {}
                     Err(_) => {
-                        if inst.injector().is_powered_off() {
+                        if inst.is_powered_off() {
                             died = true;
                             break;
                         }
@@ -479,7 +479,7 @@ impl ClusterRouter {
                 Ok(art) => to_ship = Some(art),
                 // An empty keyspace seals to nothing exportable; that is
                 // not a death, just nothing to ship.
-                Err(_) => died = inst.injector().is_powered_off(),
+                Err(_) => died = inst.is_powered_off(),
             }
         }
         if died {
@@ -633,8 +633,8 @@ impl ClusterRouter {
         let (resp, died, stale) = {
             let inst = st.primary.read();
             let resp = inst.device().handle(cmd);
-            let died = matches!(resp, KvResponse::Err(KvStatus::PowerLoss))
-                || inst.injector().is_powered_off();
+            let died =
+                matches!(resp, KvResponse::Err(KvStatus::PowerLoss)) || inst.is_powered_off();
             // The ack fence: the command executed, but if a promotion
             // minted a newer epoch meanwhile, this instance is deposed
             // and its ack must not reach the client.
@@ -1334,8 +1334,8 @@ impl ClusterRouter {
     /// The fault injector attached to shard `ix`'s current primary.
     /// Torture harness hook: lets a test cut power directly and watch the
     /// router discover the death on the next routed command.
-    pub fn shard_injector(&self, ix: u32) -> Arc<kvcsd_sim::FaultInjector> {
-        Arc::clone(self.shards[ix as usize].primary.read().injector())
+    pub fn shard_injector(&self, ix: u32) -> Option<Arc<kvcsd_sim::FaultInjector>> {
+        self.shards[ix as usize].primary.read().injector().cloned()
     }
 
     /// Cut power to shard `ix`'s primary at its next flash operation.
@@ -1348,7 +1348,9 @@ impl ClusterRouter {
             let inst = st.primary.read();
             // A plan-driven injector may already have powered off; either
             // way the next command (or this call) observes the death.
-            inst.injector().power_off_now();
+            if let Some(inj) = inst.injector() {
+                inj.power_off_now();
+            }
             true
         };
         if died {

@@ -9,10 +9,10 @@
 use std::sync::Arc;
 
 use kvcsd_core::KvCsdDevice;
-use kvcsd_flash::{NandArray, ZonedNamespace};
 use kvcsd_sim::sync::Shared;
-use kvcsd_sim::{CostModel, FaultInjector, FaultPlan, HardwareSpec, IoLedger, VirtualClock};
+use kvcsd_sim::{FaultInjector, FaultPlan, IoLedger, VirtualClock};
 
+use crate::stack::{DeviceStack, StackBuilder};
 use crate::ClusterConfig;
 
 /// Router-visible health of one shard.
@@ -30,10 +30,7 @@ pub enum ShardHealth {
 
 /// A complete device stack for one shard.
 pub struct ShardInstance {
-    device: Arc<KvCsdDevice>,
-    ledger: Arc<IoLedger>,
-    clock: Arc<VirtualClock>,
-    injector: Arc<FaultInjector>,
+    stack: DeviceStack,
     /// Fencing epoch this instance was built to serve. A promotion mints
     /// the next epoch, so an instance whose epoch trails the shard's
     /// current epoch is a deposed primary: the router rejects its acks
@@ -48,30 +45,14 @@ impl ShardInstance {
     /// fleet-wide seed yields deterministic but *distinct* failure
     /// schedules per shard.
     pub fn build(cfg: &ClusterConfig, device_id: u32, plan: FaultPlan, epoch: u64) -> Self {
-        let ledger = Arc::new(IoLedger::new(
-            cfg.geometry.channels,
-            cfg.geometry.page_bytes,
-        ));
-        let nand = Arc::new(NandArray::new(
-            cfg.geometry,
-            &HardwareSpec::default(),
-            Arc::clone(&ledger),
-        ));
-        let injector = Arc::new(FaultInjector::new(plan.for_device(device_id)));
-        nand.set_fault_injector(Some(Arc::clone(&injector)));
-        let zns = Arc::new(ZonedNamespace::new(nand, cfg.zns));
-        let clock = Arc::new(VirtualClock::new());
-        let mut dev_cfg = cfg.device.clone();
-        dev_cfg.seed ^= (device_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        dev_cfg.clock = Some(Arc::clone(&clock));
-        let device = Arc::new(KvCsdDevice::new(zns, CostModel::default(), dev_cfg));
-        Self {
-            device,
-            ledger,
-            clock,
-            injector,
-            epoch,
-        }
+        let mut device = cfg.device.clone();
+        device.seed ^= (device_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let stack = StackBuilder::new(cfg.geometry)
+            .zns(cfg.zns)
+            .device(device)
+            .faults(plan.for_device(device_id))
+            .build();
+        Self { stack, epoch }
     }
 
     /// The fencing epoch this instance serves.
@@ -80,22 +61,29 @@ impl ShardInstance {
     }
 
     pub fn device(&self) -> &Arc<KvCsdDevice> {
-        &self.device
+        self.stack.device()
     }
 
     pub fn ledger(&self) -> &Arc<IoLedger> {
-        &self.ledger
+        self.stack.ledger()
     }
 
     /// This shard's private virtual clock. Latency charged here never
     /// moves any other shard's clock — the stall-isolation property the
     /// torture test asserts.
     pub fn clock(&self) -> &Arc<VirtualClock> {
-        &self.clock
+        self.stack.clock()
     }
 
-    pub fn injector(&self) -> &Arc<FaultInjector> {
-        &self.injector
+    /// The shard's fault injector; always present, since [`Self::build`]
+    /// arms every shard with a plan.
+    pub fn injector(&self) -> Option<&Arc<FaultInjector>> {
+        self.stack.injector()
+    }
+
+    /// Whether the primary's power has been cut.
+    pub fn is_powered_off(&self) -> bool {
+        self.stack.is_powered_off()
     }
 }
 
@@ -168,7 +156,7 @@ mod tests {
         let a2 = ShardInstance::build(&cfg, 0, plan, 1);
         let seq = |s: &ShardInstance| {
             (0..32)
-                .map(|_| s.injector().decide(OpClass::NandRead, 0))
+                .map(|_| s.injector().unwrap().decide(OpClass::NandRead, 0))
                 .collect::<Vec<_>>()
         };
         let (sa, sb, sa2) = (seq(&a), seq(&b), seq(&a2));

@@ -8,19 +8,15 @@
 //! size host-to-device plus one command round trip, and every response
 //! charges its wire size device-to-host on the same completion.
 //!
-//! Two submission disciplines share one queue pair:
-//!
-//! * [`QueuePair::execute`] — the legacy lock-step round trip: submit one
-//!   command, block until its completion. Simple, but the bus and the
-//!   device idle while the host turns the crank.
-//! * [`QueuePair::submit`] / [`QueuePair::poll_completions`] — the
-//!   pipelined path: submissions return a [`CmdId`] immediately and
-//!   completions are matched out of order by id. With
-//!   [`QueuePair::with_pipeline`] attached, each command is charged
-//!   *per-stage* virtual time (h2d link occupancy, command propagation,
-//!   device execution lanes, d2h link occupancy), so overlapped commands
-//!   pipeline instead of serializing — the whole point of the in-flight
-//!   window refactor (DESIGN.md §16).
+//! Commands go through [`QueuePair::submit`] / [`QueuePair::poll_completions`]:
+//! submissions return a [`CmdId`] immediately and completions are matched
+//! out of order by id. Without timing, every command completes inside
+//! `submit` (the untimed mode clients connect on). With
+//! [`QueuePair::with_pipeline`] attached, each command is charged
+//! *per-stage* virtual time (h2d link occupancy, command propagation,
+//! device execution lanes, d2h link occupancy), so overlapped commands
+//! pipeline instead of serializing — the whole point of the in-flight
+//! window refactor (DESIGN.md §16). Lock-step is simply depth 1.
 //!
 //! Completion queues are *per clone*: cloning a [`QueuePair`] mirrors a
 //! host thread opening its own NVMe queue pair to the same drive, so a
@@ -182,19 +178,6 @@ impl QueuePair {
             })),
         }));
         self
-    }
-
-    /// Whether the per-stage pipeline timing model is attached.
-    pub fn pipelined(&self) -> bool {
-        self.pipe.is_some()
-    }
-
-    /// Submit a command and wait for its completion.
-    pub fn execute(&self, cmd: KvCommand) -> KvResponse {
-        self.ledger.dma_h2d(cmd.wire_size());
-        let resp = self.device.handle(cmd);
-        self.ledger.dma_d2h_payload(resp.wire_size());
-        resp
     }
 
     /// Submit a command without waiting; its completion is matched by
@@ -367,13 +350,20 @@ mod tests {
         KvCommand::Get { ks: 0, key }
     }
 
+    /// Submit one command and claim its completion.
+    fn round_trip(qp: &QueuePair, cmd: KvCommand) -> KvResponse {
+        let id = qp.submit(cmd);
+        let mut done = qp.poll_completions();
+        assert_eq!(done.len(), 1);
+        let (got, resp) = done.remove(0);
+        assert_eq!(got, id);
+        resp
+    }
+
     #[test]
-    fn execute_routes_to_device() {
+    fn submit_routes_to_device() {
         let qp = qp();
-        let resp = qp.execute(KvCommand::Get {
-            ks: 0,
-            key: vec![1, 2, 3],
-        });
+        let resp = round_trip(&qp, get(vec![1, 2, 3]));
         assert_eq!(resp, KvResponse::Value(vec![1, 2, 3]));
     }
 
@@ -386,7 +376,7 @@ mod tests {
             value: vec![0; 32],
         };
         let cmd_bytes = cmd.wire_size();
-        qp.execute(cmd);
+        round_trip(&qp, cmd);
         let s = qp.ledger().snapshot();
         assert_eq!(s.pcie_h2d_bytes, cmd_bytes);
         assert_eq!(s.pcie_d2h_bytes, KvResponse::PutOk.wire_size());
@@ -397,10 +387,7 @@ mod tests {
     #[test]
     fn response_payload_bytes_are_charged() {
         let qp = qp();
-        qp.execute(KvCommand::Get {
-            ks: 0,
-            key: vec![7; 100],
-        });
+        round_trip(&qp, get(vec![7; 100]));
         let s = qp.ledger().snapshot();
         assert_eq!(
             s.pcie_d2h_bytes,
@@ -412,36 +399,14 @@ mod tests {
     fn clones_share_ledger() {
         let qp1 = qp();
         let qp2 = qp1.clone();
-        qp1.execute(KvCommand::Put {
+        let put = || KvCommand::Put {
             ks: 0,
             key: vec![1],
             value: vec![2],
-        });
-        qp2.execute(KvCommand::Put {
-            ks: 0,
-            key: vec![1],
-            value: vec![2],
-        });
+        };
+        round_trip(&qp1, put());
+        round_trip(&qp2, put());
         assert_eq!(qp1.ledger().snapshot().pcie_msgs, 2);
-    }
-
-    #[test]
-    fn submit_charges_the_same_dma_as_execute() {
-        let a = qp();
-        let b = qp();
-        let id = a.submit(get(vec![9; 24]));
-        let done = a.poll_completions();
-        assert_eq!(done, vec![(id, KvResponse::Value(vec![9; 24]))]);
-        b.execute(get(vec![9; 24]));
-        assert_eq!(a.ledger().snapshot().pcie_msgs, 1);
-        assert_eq!(
-            a.ledger().snapshot().pcie_h2d_bytes,
-            b.ledger().snapshot().pcie_h2d_bytes
-        );
-        assert_eq!(
-            a.ledger().snapshot().pcie_d2h_bytes,
-            b.ledger().snapshot().pcie_d2h_bytes
-        );
     }
 
     #[test]

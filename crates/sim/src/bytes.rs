@@ -1,4 +1,4 @@
-//! Little-endian byte decoding helpers.
+//! Little-endian byte decoding helpers and the workspace's one CRC-32.
 //!
 //! On-flash formats throughout the workspace decode fixed-width integers
 //! out of page buffers. Before this module existed every such site spelled
@@ -55,6 +55,35 @@ pub fn try_le_u64(buf: &[u8], off: usize) -> Option<u64> {
     Some(u64::from_le_bytes(b))
 }
 
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) guarding
+/// every on-flash frame: device and LSM WAL records, metadata snapshots
+/// and shipped artifacts. Table-driven, one lookup per byte.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
+}
+
+/// `CRC32_TABLE[i]` is the CRC register after shifting byte `i` through
+/// eight rounds of the bitwise algorithm; built at compile time.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut round = 0;
+        while round < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            round += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +107,26 @@ mod tests {
         assert_eq!(try_le_u32(&buf, 0), None);
         assert_eq!(try_le_u64(&buf, 0), None);
         assert_eq!(try_le_u32(&[9u8; 4], 0), Some(u32::from_le_bytes([9; 4])));
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors_and_the_bitwise_algorithm() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        let bitwise = |data: &[u8]| {
+            let mut crc = !0u32;
+            for &b in data {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..1024u32).map(|i| (i * 131 + i / 7) as u8).collect();
+        for len in [1, 3, 64, 1000, 1024] {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "len {len}");
+        }
     }
 
     #[test]

@@ -11,33 +11,22 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-use kvcsd::proto::DeviceHandler;
+use kvcsd::cluster::StackBuilder;
+use kvcsd::flash::FlashGeometry;
 use kvcsd::sim::config::SimConfig;
-use kvcsd::sim::IoLedger;
 use kvcsd_client::KvCsd;
 
 fn main() {
     let cfg = SimConfig::default();
-    let geom = FlashGeometry {
+    let stack = StackBuilder::new(FlashGeometry {
         channels: cfg.hw.flash_channels,
         blocks_per_channel: 512,
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let device = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig::default(),
-    ));
-    let client = KvCsd::connect(
-        Arc::clone(&device) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
-    );
+    })
+    .build();
+    let (device, ledger) = (stack.device(), stack.ledger());
+    let client = KvCsd::connect(stack.handler(), Arc::clone(ledger));
 
     let free_at_start = device.zone_manager().free_zones();
     println!("device has {free_at_start} free zones\n");

@@ -15,11 +15,10 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-use kvcsd::proto::{Bound, DeviceHandler};
+use kvcsd::cluster::StackBuilder;
+use kvcsd::flash::FlashGeometry;
+use kvcsd::proto::Bound;
 use kvcsd::sim::config::SimConfig;
-use kvcsd::sim::IoLedger;
 use kvcsd_client::{Keyspace, KvCsd};
 
 const CHUNK: usize = 4096;
@@ -82,24 +81,15 @@ impl ShimFs {
 
 fn main() {
     let cfg = SimConfig::default();
-    let geom = FlashGeometry {
+    let stack = StackBuilder::new(FlashGeometry {
         channels: cfg.hw.flash_channels,
         blocks_per_channel: 512,
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let device = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig::default(),
-    ));
-    let client = KvCsd::connect(
-        Arc::clone(&device) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
-    );
+    })
+    .build();
+    let (device, ledger) = (stack.device(), stack.ledger());
+    let client = KvCsd::connect(stack.handler(), Arc::clone(ledger));
 
     let ks = client.create_keyspace("shimfs").unwrap();
     let fs = ShimFs { ks: ks.clone() };

@@ -7,36 +7,26 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-use kvcsd::proto::{Bound, DeviceHandler};
+use kvcsd::cluster::StackBuilder;
+use kvcsd::flash::FlashGeometry;
+use kvcsd::proto::Bound;
 use kvcsd::sim::config::SimConfig;
-use kvcsd::sim::IoLedger;
 use kvcsd_client::KvCsd;
 
 fn main() {
     // 1. Assemble the device: NAND array -> zoned namespace -> KV-CSD.
     let cfg = SimConfig::default();
-    let geom = FlashGeometry {
+    let stack = StackBuilder::new(FlashGeometry {
         channels: cfg.hw.flash_channels,
         blocks_per_channel: 256,
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let device = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig::default(),
-    ));
+    })
+    .build();
+    let (device, ledger) = (stack.device(), stack.ledger());
 
     // 2. Connect the lightweight client library.
-    let client = KvCsd::connect(
-        Arc::clone(&device) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
-    );
+    let client = KvCsd::connect(stack.handler(), Arc::clone(ledger));
 
     // 3. Create a keyspace and bulk-insert some pairs.
     let ks = client

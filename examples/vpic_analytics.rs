@@ -10,12 +10,11 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-use kvcsd::proto::{Bound, DeviceHandler, SecondaryIndexSpec, SecondaryKeyType, SidxKey};
+use kvcsd::cluster::StackBuilder;
+use kvcsd::flash::FlashGeometry;
+use kvcsd::proto::{Bound, SecondaryIndexSpec, SecondaryKeyType, SidxKey};
 use kvcsd::sim::config::SimConfig;
 use kvcsd::sim::stats::human_bytes;
-use kvcsd::sim::IoLedger;
 use kvcsd::workloads::vpic::{VpicDump, ENERGY_OFFSET};
 use kvcsd_client::KvCsd;
 
@@ -26,24 +25,15 @@ fn main() {
 
     // Device sized for the dump.
     let cfg = SimConfig::default();
-    let geom = FlashGeometry {
+    let stack = StackBuilder::new(FlashGeometry {
         channels: cfg.hw.flash_channels,
         blocks_per_channel: 2048,
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let device = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig::default(),
-    ));
-    let client = KvCsd::connect(
-        Arc::clone(&device) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
-    );
+    })
+    .build();
+    let (device, ledger) = (stack.device(), stack.ledger());
+    let client = KvCsd::connect(stack.handler(), Arc::clone(ledger));
 
     // --- Simulation output phase -------------------------------------------
     // One keyspace per dump file, as the paper's loader does.

@@ -287,7 +287,9 @@ fn routed_client_sessions_ride_through_failover_with_fail_fast_redirects() {
     // Cut power behind the router's back: the next routed command makes
     // the router discover the death, answer FailoverInProgress, and the
     // client's retry loop resends immediately to the promoted replica.
-    r.shard_injector(0).power_off_now();
+    r.shard_injector(0)
+        .expect("shards are armed")
+        .power_off_now();
     for k in &keys {
         assert_eq!(ks.get(k).expect("get after failover"), value_for(k));
     }

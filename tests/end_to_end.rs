@@ -6,37 +6,30 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kvcsd::blockfs::{BlockFs, FsConfig};
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{
-    ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
-};
+use kvcsd::cluster::StackBuilder;
+use kvcsd::device::KvCsdDevice;
+use kvcsd::flash::{ConvConfig, ConventionalNamespace, FlashGeometry, NandArray};
 use kvcsd::lsm::{CompactionMode, Db, Options};
-use kvcsd::proto::{Bound, DeviceHandler, SecondaryIndexSpec, SecondaryKeyType, SidxKey};
+use kvcsd::proto::{Bound, SecondaryIndexSpec, SecondaryKeyType, SidxKey};
 use kvcsd::sim::config::SimConfig;
 use kvcsd::sim::{IoLedger, XorShift64};
 use kvcsd_client::KvCsd;
 
 fn make_device() -> (Arc<KvCsdDevice>, KvCsd, Arc<IoLedger>) {
     let cfg = SimConfig::default();
-    let geom = FlashGeometry {
+    let stack = StackBuilder::new(FlashGeometry {
         channels: cfg.hw.flash_channels,
         blocks_per_channel: 1024,
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let dev = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig::default(),
-    ));
-    let client = KvCsd::connect(
-        Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
-    );
-    (dev, client, ledger)
+    })
+    .build();
+    let client = KvCsd::connect(stack.handler(), Arc::clone(stack.ledger()));
+    (
+        Arc::clone(stack.device()),
+        client,
+        Arc::clone(stack.ledger()),
+    )
 }
 
 fn make_baseline() -> (Arc<Db>, Arc<BlockFs>) {

@@ -3,42 +3,34 @@
 
 use std::sync::Arc;
 
+use kvcsd::cluster::StackBuilder;
 use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-use kvcsd::proto::{Bound, DeviceHandler, KvStatus, SecondaryIndexSpec, SecondaryKeyType};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
+use kvcsd::proto::{Bound, KvStatus, SecondaryIndexSpec, SecondaryKeyType};
 use kvcsd::sim::config::SimConfig;
-use kvcsd::sim::IoLedger;
 use kvcsd_client::{ClientError, KvCsd};
 
 fn tiny_device(blocks_per_channel: u32) -> (Arc<KvCsdDevice>, KvCsd) {
     let cfg = SimConfig::default();
-    let geom = FlashGeometry {
+    let stack = StackBuilder::new(FlashGeometry {
         channels: cfg.hw.flash_channels,
         blocks_per_channel,
         pages_per_block: 16,
         page_bytes: cfg.hw.page_bytes,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(
-        nand,
-        ZnsConfig {
-            zone_blocks: 1,
-            max_open_zones: 1 << 16,
-        },
-    ));
-    let dev = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig {
-            cluster_width: 4,
-            soc_dram_bytes: 16 << 20,
-            seed: 11,
-            ..DeviceConfig::default()
-        },
-    ));
-    let client = KvCsd::connect(Arc::clone(&dev) as Arc<dyn DeviceHandler>, ledger);
-    (dev, client)
+    })
+    .zns(ZnsConfig {
+        zone_blocks: 1,
+        max_open_zones: 1 << 16,
+    })
+    .device(DeviceConfig {
+        cluster_width: 4,
+        soc_dram_bytes: 16 << 20,
+        seed: 11,
+        ..DeviceConfig::default()
+    })
+    .build();
+    let client = KvCsd::connect(stack.handler(), Arc::clone(stack.ledger()));
+    (Arc::clone(stack.device()), client)
 }
 
 #[test]

@@ -24,10 +24,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use kvcsd::cluster::StackBuilder;
 use kvcsd::device::{AdmissionConfig, DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{Bound, DeviceHandler, JobState, KeyspaceState, KvStatus};
-use kvcsd::sim::config::SimConfig;
 use kvcsd::sim::{IoLedger, VirtualClock, XorShift64};
 use kvcsd_client::{ClientError, KvCsd, RetryPolicy};
 
@@ -57,39 +57,28 @@ struct Bed {
 }
 
 fn testbed(admission: AdmissionConfig, seed: u64) -> Bed {
-    let sim = SimConfig::default();
-    let geom = FlashGeometry {
+    let stack = StackBuilder::new(FlashGeometry {
         channels: 8,
         blocks_per_channel: 256,
         pages_per_block: 16,
         page_bytes: 4096,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(nand, ZnsConfig::default()));
-    let clock = Arc::new(VirtualClock::new());
-    let dev = Arc::new(KvCsdDevice::new(
-        zns,
-        sim.cost,
-        DeviceConfig {
-            cluster_width: 8,
-            soc_dram_bytes: 8 << 20,
-            seed,
-            admission,
-            clock: Some(Arc::clone(&clock)),
-            ..DeviceConfig::default()
-        },
-    ));
+    })
+    .device(DeviceConfig {
+        cluster_width: 8,
+        soc_dram_bytes: 8 << 20,
+        seed,
+        admission,
+        ..DeviceConfig::default()
+    })
+    .build();
+    let (clock, ledger) = (Arc::clone(stack.clock()), Arc::clone(stack.ledger()));
     // No automatic retries: the harness wants to observe every raw
     // Stalled/Busy/DeadlineExceeded status the device hands back.
-    let client = KvCsd::connect(
-        Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-        Arc::clone(&ledger),
-    )
-    .with_retry_policy(RetryPolicy::none())
-    .with_clock(Arc::clone(&clock));
+    let client = KvCsd::connect(stack.handler(), Arc::clone(&ledger))
+        .with_retry_policy(RetryPolicy::none())
+        .with_clock(Arc::clone(&clock));
     Bed {
-        dev,
+        dev: Arc::clone(stack.device()),
         client,
         clock,
         ledger,
@@ -356,36 +345,25 @@ fn fast_same_seed_same_admission_decisions() {
 fn device_full_degrades_to_read_only_and_recovers() {
     // A deliberately tiny SSD: 2 channels x 16 blocks x 4 pages x 4 KiB
     // = 512 KiB raw, 32 single-block zones (2 reserved for metadata).
-    let sim = SimConfig::default();
-    let geom = FlashGeometry {
+    let mut stack = StackBuilder::new(FlashGeometry {
         channels: 2,
         blocks_per_channel: 16,
         pages_per_block: 4,
         page_bytes: 4096,
-    };
-    let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-    let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(
-        nand,
-        ZnsConfig {
-            zone_blocks: 1,
-            max_open_zones: 1 << 16,
-        },
-    ));
-    let clock = Arc::new(VirtualClock::new());
-    let cfg = DeviceConfig {
+    })
+    .zns(ZnsConfig {
+        zone_blocks: 1,
+        max_open_zones: 1 << 16,
+    })
+    .device(DeviceConfig {
         cluster_width: 2,
         soc_dram_bytes: 8 << 20,
         seed: 19,
         admission: AdmissionConfig::permissive(),
-        clock: Some(Arc::clone(&clock)),
         ..DeviceConfig::default()
-    };
-    let dev = Arc::new(KvCsdDevice::new(
-        Arc::clone(&zns),
-        sim.cost.clone(),
-        cfg.clone(),
-    ));
+    })
+    .build();
+    let ledger = Arc::clone(stack.ledger());
     let connect = |dev: &Arc<KvCsdDevice>| {
         KvCsd::connect(
             Arc::clone(dev) as Arc<dyn DeviceHandler>,
@@ -393,6 +371,7 @@ fn device_full_degrades_to_read_only_and_recovers() {
         )
         .with_retry_policy(RetryPolicy::none())
     };
+    let dev = Arc::clone(stack.device());
     let client = connect(&dev);
 
     // A filler keyspace eats most of the device; deleting it later is how
@@ -445,8 +424,9 @@ fn device_full_degrades_to_read_only_and_recovers() {
 
     // The frozen state survives a power cycle: the seal was persisted.
     drop((client, filler, victim));
-    let dev = Arc::new(
-        KvCsdDevice::reopen(Arc::clone(&zns), sim.cost.clone(), cfg.clone())
+    let dev = Arc::clone(
+        stack
+            .power_cycle()
             .expect("reopen of a full device must succeed"),
     );
     dev.run_pending_jobs();
@@ -476,9 +456,7 @@ fn device_full_degrades_to_read_only_and_recovers() {
 
     // And the recovery itself is durable: reopen once more and re-check.
     drop((client, victim));
-    let dev = Arc::new(
-        KvCsdDevice::reopen(Arc::clone(&zns), sim.cost, cfg).expect("second reopen must succeed"),
-    );
+    let dev = Arc::clone(stack.power_cycle().expect("second reopen must succeed"));
     dev.run_pending_jobs();
     let client = connect(&dev);
     let (victim, state) = client.open_keyspace("victim").unwrap();

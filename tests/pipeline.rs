@@ -14,11 +14,11 @@
 
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
-use kvcsd::proto::{DeviceHandler, JobState, KvCommand, KvResponse, KvStatus, QueuePair};
-use kvcsd::sim::config::{CostModel, SimConfig};
-use kvcsd::sim::{FaultInjector, FaultPlan, IoLedger, VirtualClock};
+use kvcsd::cluster::{DeviceStack, StackBuilder};
+use kvcsd::device::DeviceConfig;
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
+use kvcsd::proto::{JobState, KvCommand, KvResponse, KvStatus, QueuePair};
+use kvcsd::sim::{FaultPlan, VirtualClock};
 use kvcsd_client::{ClientError, InflightWindow, KvCsd, RetryPolicy};
 
 const PAIRS: u32 = 600;
@@ -43,59 +43,35 @@ fn value_for(key: &[u8]) -> Vec<u8> {
 
 /// Minimal crash-recovery stack (the torture harness's skeleton).
 struct Stack {
-    cost: CostModel,
-    cfg: DeviceConfig,
-    ledger: Arc<IoLedger>,
-    zns: Arc<ZonedNamespace>,
-    inj: Arc<FaultInjector>,
-    dev: Arc<KvCsdDevice>,
+    stack: DeviceStack,
     client: KvCsd,
     crashes: u64,
 }
 
 impl Stack {
     fn new(plan: FaultPlan) -> Self {
-        let sim = SimConfig::default();
-        let geom = FlashGeometry {
+        let stack = StackBuilder::new(FlashGeometry {
             channels: 8,
             blocks_per_channel: 256,
             pages_per_block: 16,
             page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-        let zns = Arc::new(ZonedNamespace::new(
-            nand,
-            ZnsConfig {
-                zone_blocks: 1,
-                max_open_zones: 1 << 16,
-            },
-        ));
-        let cfg = DeviceConfig {
+        })
+        .zns(ZnsConfig {
+            zone_blocks: 1,
+            max_open_zones: 1 << 16,
+        })
+        .device(DeviceConfig {
             cluster_width: 8,
             soc_dram_bytes: 8 << 20,
             seed: 11,
             wal: true,
             ..DeviceConfig::default()
-        };
-        let dev = Arc::new(KvCsdDevice::new(
-            Arc::clone(&zns),
-            sim.cost.clone(),
-            cfg.clone(),
-        ));
-        let client = KvCsd::connect(
-            Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&ledger),
-        );
-        let inj = Arc::new(FaultInjector::new(plan));
-        zns.nand().set_fault_injector(Some(Arc::clone(&inj)));
+        })
+        .faults(plan)
+        .build();
+        let client = KvCsd::connect(stack.handler(), Arc::clone(stack.ledger()));
         Self {
-            cost: sim.cost,
-            cfg,
-            ledger,
-            zns,
-            inj,
-            dev,
+            stack,
             client,
             crashes: 0,
         }
@@ -105,19 +81,14 @@ impl Stack {
     fn crash(&mut self, err: &ClientError) {
         let expected = matches!(err, ClientError::Device(KvStatus::PowerLoss))
             || matches!(err, ClientError::RetriesExhausted { .. })
-            || self.inj.is_powered_off();
+            || self.stack.is_powered_off();
         assert!(expected, "unexpected error under power-cut plan: {err:?}");
         self.crashes += 1;
-        self.zns.nand().set_fault_injector(None);
-        self.inj.power_restore();
-        let dev = KvCsdDevice::reopen(Arc::clone(&self.zns), self.cost.clone(), self.cfg.clone())
-            .expect("fault-free recovery must succeed");
-        dev.run_pending_jobs();
-        self.dev = Arc::new(dev);
-        self.client = KvCsd::connect(
-            Arc::clone(&self.dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&self.ledger),
-        );
+        self.stack
+            .power_cycle()
+            .expect("fault-free recovery must succeed")
+            .run_pending_jobs();
+        self.client = KvCsd::connect(self.stack.handler(), Arc::clone(self.stack.ledger()));
     }
 }
 
@@ -173,7 +144,7 @@ fn run_power_cut(cut_at: u64, seed: u64) -> bool {
     // survivors are sealed first (fault-free — the plan's single cut
     // has fired or is disarmed). If the cut predated keyspace creation
     // there is nothing to check; nothing was ever reported durable.
-    t.zns.nand().set_fault_injector(None);
+    t.stack.disarm();
     match t.client.open_keyspace(name) {
         Ok((ks, _)) => {
             let job = match ks.compact() {
@@ -184,7 +155,7 @@ fn run_power_cut(cut_at: u64, seed: u64) -> bool {
                 }
             };
             loop {
-                t.dev.run_pending_jobs();
+                t.stack.device().run_pending_jobs();
                 match job.poll().expect("poll recovery compaction") {
                     JobState::Done => break,
                     JobState::Failed(e) => panic!("recovery compaction failed: {e}"),
@@ -241,11 +212,12 @@ fn out_of_order_completions_match_under_seeded_faults() {
     plan.seed = 9002;
     let t = Stack::new(plan);
     let clock = Arc::new(VirtualClock::new());
-    let qp = QueuePair::new(
-        Arc::clone(&t.dev) as Arc<dyn DeviceHandler>,
-        Arc::clone(&t.ledger),
-    )
-    .with_pipeline(Arc::clone(&clock), 16, 4, None);
+    let qp = QueuePair::new(t.stack.handler(), Arc::clone(t.stack.ledger())).with_pipeline(
+        Arc::clone(&clock),
+        16,
+        4,
+        None,
+    );
     let win = InflightWindow::new(qp, RetryPolicy::default(), Some(clock));
     let ks = match win.call(None, KvCommand::CreateKeyspace { name: "ooo".into() }) {
         Ok(KvResponse::Created { ks }) => ks,
@@ -273,13 +245,13 @@ fn out_of_order_completions_match_under_seeded_faults() {
     // Every pair matched its own completion: the values must all be
     // present and byte-exact despite retries and reordering. Gets need
     // a compacted keyspace; seal fault-free.
-    t.zns.nand().set_fault_injector(None);
+    t.stack.disarm();
     let job = match win.call(None, KvCommand::Compact { ks }) {
         Ok(KvResponse::JobStarted { job }) => job,
         other => panic!("compact: {other:?}"),
     };
     loop {
-        t.dev.run_pending_jobs();
+        t.stack.device().run_pending_jobs();
         match win.call(None, KvCommand::PollJob { job }) {
             Ok(KvResponse::Job {
                 state: JobState::Done,
@@ -307,11 +279,12 @@ fn ingest_schedule(seed: u64) -> (u64, Vec<u64>) {
     plan.seed = seed;
     let t = Stack::new(plan);
     let clock = Arc::new(VirtualClock::new());
-    let qp = QueuePair::new(
-        Arc::clone(&t.dev) as Arc<dyn DeviceHandler>,
-        Arc::clone(&t.ledger),
-    )
-    .with_pipeline(Arc::clone(&clock), 16, 4, None);
+    let qp = QueuePair::new(t.stack.handler(), Arc::clone(t.stack.ledger())).with_pipeline(
+        Arc::clone(&clock),
+        16,
+        4,
+        None,
+    );
     let win = InflightWindow::new(qp, RetryPolicy::default(), Some(Arc::clone(&clock)));
     match win.call(None, KvCommand::CreateKeyspace { name: "det".into() }) {
         Ok(KvResponse::Created { ks }) => {

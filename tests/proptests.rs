@@ -10,12 +10,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kvcsd::blockfs::{BlockFs, FsConfig};
+use kvcsd::cluster::StackBuilder;
 use kvcsd::device::{DeviceConfig, KvCsdDevice};
 use kvcsd::flash::{
     ConvConfig, ConventionalNamespace, FlashGeometry, NandArray, ZnsConfig, ZonedNamespace,
 };
 use kvcsd::lsm::{CompactionMode, Db, Options};
-use kvcsd::proto::{Bound, BulkBuilder, DeviceHandler, SidxKey};
+use kvcsd::proto::{Bound, BulkBuilder, SidxKey};
 use kvcsd::sim::config::SimConfig;
 use kvcsd::sim::{IoLedger, XorShift64};
 use kvcsd_client::KvCsd;
@@ -30,29 +31,20 @@ fn geom(blocks_per_channel: u32) -> FlashGeometry {
 }
 
 fn make_device() -> (Arc<KvCsdDevice>, KvCsd) {
-    let cfg = SimConfig::default();
-    let g = geom(512);
-    let ledger = Arc::new(IoLedger::new(g.channels, g.page_bytes));
-    let nand = Arc::new(NandArray::new(g, &cfg.hw, Arc::clone(&ledger)));
-    let zns = Arc::new(ZonedNamespace::new(
-        nand,
-        ZnsConfig {
+    let stack = StackBuilder::new(geom(512))
+        .zns(ZnsConfig {
             zone_blocks: 1,
             max_open_zones: 1 << 16,
-        },
-    ));
-    let dev = Arc::new(KvCsdDevice::new(
-        zns,
-        cfg.cost.clone(),
-        DeviceConfig {
+        })
+        .device(DeviceConfig {
             cluster_width: 8,
             soc_dram_bytes: 8 << 20,
             seed: 5,
             ..DeviceConfig::default()
-        },
-    ));
-    let client = KvCsd::connect(Arc::clone(&dev) as Arc<dyn DeviceHandler>, ledger);
-    (dev, client)
+        })
+        .build();
+    let client = KvCsd::connect(stack.handler(), Arc::clone(stack.ledger()));
+    (Arc::clone(stack.device()), client)
 }
 
 fn make_db(memtable_bytes: usize) -> Arc<Db> {

@@ -21,13 +21,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use kvcsd::device::{DeviceConfig, KvCsdDevice};
-use kvcsd::flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
+use kvcsd::cluster::{DeviceStack, StackBuilder};
+use kvcsd::device::DeviceConfig;
+use kvcsd::flash::{FlashGeometry, ZnsConfig};
 use kvcsd::proto::{
-    Bound, DeviceHandler, JobState, KeyspaceState, KvStatus, SecondaryIndexSpec, SecondaryKeyType,
+    Bound, JobState, KeyspaceState, KvStatus, SecondaryIndexSpec, SecondaryKeyType,
 };
-use kvcsd::sim::config::{CostModel, SimConfig};
-use kvcsd::sim::{FaultEvent, FaultInjector, FaultPlan, IoLedger};
+use kvcsd::sim::{FaultEvent, FaultPlan};
 use kvcsd_client::{ClientError, Keyspace, KvCsd};
 
 const ROUNDS: usize = 2;
@@ -78,12 +78,7 @@ struct Report {
 }
 
 struct Torture {
-    cost: CostModel,
-    cfg: DeviceConfig,
-    ledger: Arc<IoLedger>,
-    zns: Arc<ZonedNamespace>,
-    inj: Arc<FaultInjector>,
-    dev: Arc<KvCsdDevice>,
+    stack: DeviceStack,
     client: KvCsd,
     crashes: u64,
     /// Keyspaces that reached COMPACTED, with their full content.
@@ -94,47 +89,28 @@ type Pairs = BTreeMap<Vec<u8>, Vec<u8>>;
 
 impl Torture {
     fn new(plan: FaultPlan) -> Self {
-        let sim = SimConfig::default();
-        let geom = FlashGeometry {
+        let stack = StackBuilder::new(FlashGeometry {
             channels: 8,
             blocks_per_channel: 256,
             pages_per_block: 16,
             page_bytes: 4096,
-        };
-        let ledger = Arc::new(IoLedger::new(geom.channels, geom.page_bytes));
-        let nand = Arc::new(NandArray::new(geom, &sim.hw, Arc::clone(&ledger)));
-        let zns = Arc::new(ZonedNamespace::new(
-            nand,
-            ZnsConfig {
-                zone_blocks: 1,
-                max_open_zones: 1 << 16,
-            },
-        ));
-        let cfg = DeviceConfig {
+        })
+        .zns(ZnsConfig {
+            zone_blocks: 1,
+            max_open_zones: 1 << 16,
+        })
+        .device(DeviceConfig {
             cluster_width: 8,
             soc_dram_bytes: 8 << 20,
             seed: 11,
             wal: true,
             ..DeviceConfig::default()
-        };
-        let dev = Arc::new(KvCsdDevice::new(
-            Arc::clone(&zns),
-            sim.cost.clone(),
-            cfg.clone(),
-        ));
-        let client = KvCsd::connect(
-            Arc::clone(&dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&ledger),
-        );
-        let inj = Arc::new(FaultInjector::new(plan));
-        zns.nand().set_fault_injector(Some(Arc::clone(&inj)));
+        })
+        .faults(plan)
+        .build();
+        let client = KvCsd::connect(stack.handler(), Arc::clone(stack.ledger()));
         Self {
-            cost: sim.cost,
-            cfg,
-            ledger,
-            zns,
-            inj,
-            dev,
+            stack,
             client,
             crashes: 0,
             completed: Vec::new(),
@@ -143,9 +119,7 @@ impl Torture {
 
     fn rearm(&self) {
         if self.crashes < MAX_CUTS {
-            self.zns
-                .nand()
-                .set_fault_injector(Some(Arc::clone(&self.inj)));
+            self.stack.arm();
         }
     }
 
@@ -156,7 +130,7 @@ impl Torture {
     fn crash(&mut self, err: &ClientError) {
         let expected = matches!(err, ClientError::Device(KvStatus::PowerLoss))
             || matches!(err, ClientError::RetriesExhausted { .. })
-            || self.inj.is_powered_off();
+            || self.stack.is_powered_off();
         assert!(expected, "unexpected error under torture: {err:?}");
         self.recover();
     }
@@ -166,16 +140,11 @@ impl Torture {
     /// jobs, and re-check that every COMPACTED keyspace survived.
     fn recover(&mut self) {
         self.crashes += 1;
-        self.zns.nand().set_fault_injector(None);
-        self.inj.power_restore();
-        let dev = KvCsdDevice::reopen(Arc::clone(&self.zns), self.cost.clone(), self.cfg.clone())
-            .expect("fault-free recovery must succeed");
-        dev.run_pending_jobs();
-        self.dev = Arc::new(dev);
-        self.client = KvCsd::connect(
-            Arc::clone(&self.dev) as Arc<dyn DeviceHandler>,
-            Arc::clone(&self.ledger),
-        );
+        self.stack
+            .power_cycle()
+            .expect("fault-free recovery must succeed")
+            .run_pending_jobs();
+        self.client = KvCsd::connect(self.stack.handler(), Arc::clone(self.stack.ledger()));
         for (name, data) in &self.completed {
             let (ks, state) = self.client.open_keyspace(name).unwrap();
             assert_eq!(
@@ -241,7 +210,7 @@ impl Torture {
         }
         if state != KeyspaceState::Compacted {
             let job = ks.compact().unwrap();
-            self.dev.run_pending_jobs();
+            self.stack.device().run_pending_jobs();
             assert_eq!(
                 job.poll().unwrap(),
                 JobState::Done,
@@ -283,19 +252,19 @@ impl Torture {
             match state {
                 KeyspaceState::Compacted => return,
                 KeyspaceState::Compacting => {
-                    self.dev.run_pending_jobs();
-                    if self.inj.is_powered_off() {
+                    self.stack.device().run_pending_jobs();
+                    if self.stack.is_powered_off() {
                         self.recover();
                         self.rearm();
                     }
                 }
                 _ => match ks.compact() {
                     Ok(job) => {
-                        self.dev.run_pending_jobs();
+                        self.stack.device().run_pending_jobs();
                         match job.poll() {
                             Ok(JobState::Done) => {}
                             Ok(JobState::Failed(_)) => {
-                                if self.inj.is_powered_off() {
+                                if self.stack.is_powered_off() {
                                     self.recover();
                                     self.rearm();
                                 } else {
@@ -321,7 +290,7 @@ impl Torture {
                     // A cut between the seal and its persist can leave the
                     // keyspace COMPACTING in memory: just run the job.
                     Err(ClientError::Device(KvStatus::BadKeyspaceState { .. })) => {
-                        self.dev.run_pending_jobs();
+                        self.stack.device().run_pending_jobs();
                     }
                     Err(e) => {
                         self.crash(&e);
@@ -350,12 +319,12 @@ impl Torture {
             }
             match ks.build_secondary_index(sidx_spec()) {
                 Ok(job) => {
-                    self.dev.run_pending_jobs();
+                    self.stack.device().run_pending_jobs();
                     match job.poll() {
                         Ok(JobState::Done) => {}
                         Ok(JobState::Failed(_)) => {
                             assert!(
-                                self.inj.is_powered_off(),
+                                self.stack.is_powered_off(),
                                 "{name}: sidx build failed without a power cut"
                             );
                             self.recover();
@@ -383,8 +352,8 @@ impl Torture {
             if state == KeyspaceState::Compacted {
                 return ks;
             }
-            self.dev.run_pending_jobs();
-            if self.inj.is_powered_off() {
+            self.stack.device().run_pending_jobs();
+            if self.stack.is_powered_off() {
                 self.recover();
                 self.rearm();
             }
@@ -515,11 +484,12 @@ fn run_torture(plan: FaultPlan, strict_scan: bool) -> Report {
         t.run_round(round, strict_scan);
     }
     let digest = t.final_verify(strict_scan);
+    let inj = t.stack.injector().expect("torture stacks carry a plan");
     Report {
         crashes: t.crashes,
-        final_ops: t.inj.ops(),
-        events: t.inj.events(),
-        wal_replayed: t.ledger.custom("dev_wal_replayed_records"),
+        final_ops: inj.ops(),
+        events: inj.events(),
+        wal_replayed: t.stack.ledger().custom("dev_wal_replayed_records"),
         digest,
     }
 }
