@@ -10,7 +10,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use kvcsd_blockfs::{BlockFs, FsConfig};
-use kvcsd_core::compact::{decode_pidx_block, PidxBlockBuilder, PidxEntry};
+use kvcsd_core::block::{IndexBlock, IndexBlockBuilder};
+use kvcsd_core::compact::{decode_pidx_block, PidxEntry};
 use kvcsd_core::dram::DramBudget;
 use kvcsd_core::extsort::ExtSorter;
 use kvcsd_core::ingest::{KlogRecord, WriteLog};
@@ -190,23 +191,34 @@ fn bench_device_paths() {
 }
 
 fn bench_pidx_block() {
-    let mut builder = PidxBlockBuilder::new();
-    let mut n = 0u64;
+    let mut builder = IndexBlockBuilder::new();
+    let mut keys = Vec::new();
     loop {
         let e = PidxEntry {
-            key: format!("key-{n:012}").into_bytes(),
-            voff: n * 32,
+            key: format!("key-{:012}", keys.len()).into_bytes(),
+            voff: keys.len() as u64 * 32,
             vlen: 32,
         };
-        if !builder.fits(e.key.len()) {
+        if !builder.fits(&e) {
             break;
         }
         builder.add(&e);
-        n += 1;
+        keys.push(e.key);
     }
+    let n = keys.len() as u64;
     let (block, _) = builder.finish();
     bench("pidx/decode_block", 1_000, n, || {
         decode_pidx_block(&block).unwrap()
+    });
+    // A point lookup: seek to every key in turn and decode the entry.
+    bench("pidx/seek", 1_000, n, || {
+        keys.iter()
+            .map(|k| {
+                let mut view = IndexBlock::<PidxEntry>::open(&block).unwrap();
+                view.seek(k).unwrap();
+                view.next().unwrap().map_or(0, |e| e.voff)
+            })
+            .sum::<u64>()
     });
 }
 

@@ -21,15 +21,14 @@ use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16, try_le_u32, try_le_u6
 use std::cmp::Ordering;
 
 use crate::admission::Deadline;
+use crate::block::{IndexBlock, IndexBlockBuilder, IndexEntry};
 use crate::dram::DramBudget;
-use crate::error::DeviceError;
 use crate::extsort::{ExtSorter, SortRecord};
 use crate::ingest::{KlogRecord, StreamReader};
 use crate::keyspace::Sketch;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
-use crate::BLOCK_BYTES;
 
 // ---------------------------------------------------------------------------
 // PIDX block format
@@ -45,75 +44,38 @@ pub struct PidxEntry {
 
 const PIDX_ENTRY_HEADER: usize = 2 + 8 + 4;
 
-/// Packs self-contained PIDX blocks (entries never span blocks, so the
-/// sketch can address blocks independently).
-#[derive(Debug, Default)]
-pub struct PidxBlockBuilder {
-    buf: Vec<u8>,
-    count: u16,
-    first_key: Option<Vec<u8>>,
-}
-
-impl PidxBlockBuilder {
-    pub fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(BLOCK_BYTES),
-            count: 0,
-            first_key: None,
-        }
+/// `klen u16 | voff u64 | vlen u32 | key`, in [`crate::block`] blocks.
+impl IndexEntry for PidxEntry {
+    fn encoded_len(&self) -> usize {
+        PIDX_ENTRY_HEADER + self.key.len()
     }
-
-    /// True if an entry with `key_len`-byte key fits in the current block.
-    pub fn fits(&self, key_len: usize) -> bool {
-        2 + self.buf.len() + PIDX_ENTRY_HEADER + key_len <= BLOCK_BYTES
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
+        out.extend_from_slice(&self.voff.to_le_bytes());
+        out.extend_from_slice(&self.vlen.to_le_bytes());
+        out.extend_from_slice(&self.key);
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
+    fn seek_key(&self) -> &[u8] {
+        &self.key
     }
-
-    /// Append an entry; caller checks [`PidxBlockBuilder::fits`] first.
-    pub fn add(&mut self, e: &PidxEntry) {
-        debug_assert!(self.fits(e.key.len()));
-        if self.first_key.is_none() {
-            self.first_key = Some(e.key.clone());
-        }
-        self.buf
-            .extend_from_slice(&(e.key.len() as u16).to_le_bytes());
-        self.buf.extend_from_slice(&e.voff.to_le_bytes());
-        self.buf.extend_from_slice(&e.vlen.to_le_bytes());
-        self.buf.extend_from_slice(&e.key);
-        self.count += 1;
+    fn peek_key(buf: &[u8]) -> Option<(&[u8], usize, usize)> {
+        let klen = try_le_u16(buf, 0)? as usize;
+        let len = PIDX_ENTRY_HEADER + klen;
+        Some((buf.get(PIDX_ENTRY_HEADER..len)?, 2 + klen, len))
     }
-
-    /// Seal the block: returns `(block bytes, first key)` and resets.
-    pub fn finish(&mut self) -> (Vec<u8>, Vec<u8>) {
-        let mut block = Vec::with_capacity(2 + self.buf.len());
-        block.extend_from_slice(&self.count.to_le_bytes());
-        block.extend_from_slice(&self.buf);
-        let first = self.first_key.take().unwrap_or_default();
-        self.buf.clear();
-        self.count = 0;
-        (block, first)
+    fn decode(buf: &[u8]) -> Option<Self> {
+        let (key, _, _) = Self::peek_key(buf)?;
+        Some(PidxEntry {
+            key: key.to_vec(),
+            voff: try_le_u64(buf, 2)?,
+            vlen: try_le_u32(buf, 10)?,
+        })
     }
 }
 
-/// Decode a PIDX block produced by [`PidxBlockBuilder`].
+/// Decode a whole PIDX block.
 pub fn decode_pidx_block(block: &[u8]) -> Result<Vec<PidxEntry>> {
-    let bad = || DeviceError::Internal("malformed PIDX block".into());
-    let count = try_le_u16(block, 0).ok_or_else(bad)?;
-    let mut p = 2usize;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let klen = try_le_u16(block, p).ok_or_else(bad)? as usize;
-        let voff = try_le_u64(block, p + 2).ok_or_else(bad)?;
-        let vlen = try_le_u32(block, p + 10).ok_or_else(bad)?;
-        p += PIDX_ENTRY_HEADER;
-        let key = block.get(p..p + klen).ok_or_else(bad)?.to_vec();
-        p += klen;
-        out.push(PidxEntry { key, voff, vlen });
-    }
-    Ok(out)
+    IndexBlock::decode_all(block)
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +192,7 @@ pub fn run_compaction(
     // Emit PIDX blocks + sketch; collect (voff, vlen, rank) gather tags.
     let pidx_cluster = mgr.alloc_cluster(cluster_width)?;
     let mut sketch = Sketch::new();
-    let mut builder = PidxBlockBuilder::new();
+    let mut builder = IndexBlockBuilder::new();
     let mut pidx_blocks = 0u32;
     let mut gather_sorter: ExtSorter<'_, GatherRec> =
         ExtSorter::new(mgr, soc, dram, cluster_width)?;
@@ -242,7 +204,7 @@ pub fn run_compaction(
             voff: out_voff,
             vlen: rec.vlen,
         };
-        if !builder.fits(e.key.len()) {
+        if !builder.fits(&e) {
             let (block, first) = builder.finish();
             mgr.append_block(pidx_cluster, &block)?;
             sketch.push(first);
@@ -432,7 +394,7 @@ pub fn run_compaction_with_indexes(
 
     let pidx_cluster = mgr.alloc_cluster(cluster_width)?;
     let mut sketch = Sketch::new();
-    let mut builder = PidxBlockBuilder::new();
+    let mut builder = IndexBlockBuilder::new();
     let mut pidx_blocks = 0u32;
     let mut gather_sorter: ExtSorter<'_, GatherRecK> =
         ExtSorter::new(mgr, soc, dram, cluster_width)?;
@@ -444,7 +406,7 @@ pub fn run_compaction_with_indexes(
             voff: out_voff,
             vlen: rec.vlen,
         };
-        if !builder.fits(e.key.len()) {
+        if !builder.fits(&e) {
             let (block, first) = builder.finish();
             mgr.append_block(pidx_cluster, &block)?;
             sketch.push(first);
@@ -542,7 +504,9 @@ pub fn run_compaction_with_indexes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DeviceError;
     use crate::ingest::WriteLog;
+    use crate::BLOCK_BYTES;
     use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
     use kvcsd_sim::{config::CostModel, HardwareSpec, IoLedger, XorShift64};
     use std::sync::Arc;
@@ -620,7 +584,7 @@ mod tests {
 
     #[test]
     fn pidx_block_roundtrip() {
-        let mut b = PidxBlockBuilder::new();
+        let mut b = IndexBlockBuilder::new();
         let entries: Vec<PidxEntry> = (0..50)
             .map(|i| PidxEntry {
                 key: format!("key{i:04}").into_bytes(),
@@ -629,7 +593,7 @@ mod tests {
             })
             .collect();
         for e in &entries {
-            assert!(b.fits(e.key.len()));
+            assert!(b.fits(e));
             b.add(e);
         }
         let (block, first) = b.finish();
@@ -640,7 +604,7 @@ mod tests {
 
     #[test]
     fn pidx_block_capacity_bounded() {
-        let mut b = PidxBlockBuilder::new();
+        let mut b = IndexBlockBuilder::new();
         let mut added = 0;
         loop {
             let e = PidxEntry {
@@ -648,13 +612,13 @@ mod tests {
                 voff: 0,
                 vlen: 1,
             };
-            if !b.fits(e.key.len()) {
+            if !b.fits(&e) {
                 break;
             }
             b.add(&e);
             added += 1;
         }
-        // 4096/30 ~ 136 entries.
+        // 4096 / (30 + 2/16 restart bytes) ~ 134 entries.
         assert!(added > 100 && added < 200, "{added}");
         let (block, _) = b.finish();
         assert!(block.len() <= BLOCK_BYTES);

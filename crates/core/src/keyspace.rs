@@ -74,6 +74,18 @@ impl Sketch {
         Some(ix.saturating_sub(1) as u32)
     }
 
+    /// Block where a search for the *first* entry `>= key` must start:
+    /// the last block whose pivot is strictly `< key` (or block 0). Unlike
+    /// [`Sketch::locate`] this is right when keys repeat, as secondary
+    /// keys do: blocks before the last pivot `<= key` may end with `key`.
+    pub fn locate_first(&self, key: &[u8]) -> Option<u32> {
+        if self.pivots.is_empty() {
+            return None;
+        }
+        let ix = self.pivots.partition_point(|p| p.as_slice() < key);
+        Some(ix.saturating_sub(1) as u32)
+    }
+
     /// Number of pivot comparisons a binary search performs (for cost
     /// charging).
     pub fn search_cost(&self) -> f64 {
@@ -398,5 +410,22 @@ mod tests {
         assert_eq!(s.locate(b"z"), Some(2));
         assert!(s.search_cost() > 1.0);
         assert!(s.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn sketch_locate_first_backs_up_over_repeated_pivots() {
+        let mut s = Sketch::new();
+        assert!(s.locate_first(b"anything").is_none());
+        for p in [b"b", b"f", b"f", b"m"] {
+            s.push(p.to_vec());
+        }
+        // Blocks 0 and 1 may both end with "f"; locate would skip them.
+        assert_eq!(s.locate(b"f"), Some(2));
+        assert_eq!(s.locate_first(b"f"), Some(0));
+        assert_eq!(s.locate_first(b"a"), Some(0));
+        assert_eq!(s.locate_first(b"b"), Some(0));
+        assert_eq!(s.locate_first(b"g"), Some(2));
+        assert_eq!(s.locate_first(b"m"), Some(2));
+        assert_eq!(s.locate_first(b"z"), Some(3));
     }
 }

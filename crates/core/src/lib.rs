@@ -19,6 +19,8 @@
 //! * [`compact`] — offloaded compaction: sort the keys, then reorder the
 //!   values, producing PIDX + SORTED_VALUES clusters and an in-memory
 //!   block **sketch** (one pivot key per 4 KiB index block);
+//! * [`block`] — the seekable PIDX/SIDX block layout (restart points
+//!   every 16 entries) that queries search without decoding whole blocks;
 //! * [`sidx`] — offloaded secondary-index construction and the SIDX
 //!   cluster format;
 //! * [`query`] — point and range query processing over both indexes,
@@ -36,6 +38,7 @@
 
 pub mod admission;
 pub mod artifact;
+pub mod block;
 pub mod compact;
 pub mod device;
 pub mod dram;

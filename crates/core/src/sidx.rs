@@ -17,16 +17,15 @@ use std::cmp::Ordering;
 use kvcsd_proto::SecondaryIndexSpec;
 
 use crate::admission::Deadline;
+use crate::block::{IndexBlock, IndexBlockBuilder, IndexEntry};
 use crate::compact::decode_pidx_block;
 use crate::dram::DramBudget;
-use crate::error::DeviceError;
 use crate::extsort::{ExtSorter, SortRecord};
 use crate::ingest::StreamReader;
 use crate::keyspace::Sketch;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
-use crate::BLOCK_BYTES;
 
 /// One SIDX entry: encoded secondary key, primary key, value locator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,77 +72,41 @@ impl SortRecord for SidxEntry {
     }
 }
 
-/// Packs self-contained SIDX blocks, mirroring the PIDX builder.
-#[derive(Debug, Default)]
-pub struct SidxBlockBuilder {
-    buf: Vec<u8>,
-    count: u16,
-    first_skey: Option<Vec<u8>>,
-}
-
-impl SidxBlockBuilder {
-    pub fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(BLOCK_BYTES),
-            count: 0,
-            first_skey: None,
+/// The [`SortRecord`] layout, in [`crate::block`] blocks.
+impl IndexEntry for SidxEntry {
+    fn encoded_len(&self) -> usize {
+        SortRecord::encoded_len(self)
+    }
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        SortRecord::encode_into(self, out)
+    }
+    fn seek_key(&self) -> &[u8] {
+        &self.skey
+    }
+    fn peek_key(buf: &[u8]) -> Option<(&[u8], usize, usize)> {
+        let sklen = try_le_u16(buf, 0)? as usize;
+        let pklen = try_le_u16(buf, 2)? as usize;
+        let skey_end = SIDX_ENTRY_HEADER + sklen;
+        let len = skey_end + pklen;
+        if len > buf.len() {
+            return None;
         }
+        Some((&buf[SIDX_ENTRY_HEADER..skey_end], 4 + sklen, len))
     }
-
-    pub fn fits(&self, e: &SidxEntry) -> bool {
-        2 + self.buf.len() + e.encoded_len() <= BLOCK_BYTES
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    pub fn add(&mut self, e: &SidxEntry) {
-        debug_assert!(self.fits(e));
-        if self.first_skey.is_none() {
-            self.first_skey = Some(e.skey.clone());
-        }
-        let mut tmp = Vec::with_capacity(e.encoded_len());
-        e.encode_into(&mut tmp);
-        self.buf.extend_from_slice(&tmp);
-        self.count += 1;
-    }
-
-    pub fn finish(&mut self) -> (Vec<u8>, Vec<u8>) {
-        let mut block = Vec::with_capacity(2 + self.buf.len());
-        block.extend_from_slice(&self.count.to_le_bytes());
-        block.extend_from_slice(&self.buf);
-        let first = self.first_skey.take().unwrap_or_default();
-        self.buf.clear();
-        self.count = 0;
-        (block, first)
+    fn decode(buf: &[u8]) -> Option<Self> {
+        let (skey, _, len) = Self::peek_key(buf)?;
+        Some(SidxEntry {
+            skey: skey.to_vec(),
+            pkey: buf[SIDX_ENTRY_HEADER + skey.len()..len].to_vec(),
+            voff: try_le_u64(buf, 4)?,
+            vlen: try_le_u32(buf, 12)?,
+        })
     }
 }
 
-/// Decode one SIDX block.
+/// Decode a whole SIDX block.
 pub fn decode_sidx_block(block: &[u8]) -> Result<Vec<SidxEntry>> {
-    let bad = || DeviceError::Internal("malformed SIDX block".into());
-    let count = try_le_u16(block, 0).ok_or_else(bad)?;
-    let mut p = 2usize;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let sklen = try_le_u16(block, p).ok_or_else(bad)? as usize;
-        let pklen = try_le_u16(block, p + 2).ok_or_else(bad)? as usize;
-        let voff = try_le_u64(block, p + 4).ok_or_else(bad)?;
-        let vlen = try_le_u32(block, p + 12).ok_or_else(bad)?;
-        p += SIDX_ENTRY_HEADER;
-        let skey = block.get(p..p + sklen).ok_or_else(bad)?.to_vec();
-        p += sklen;
-        let pkey = block.get(p..p + pklen).ok_or_else(bad)?.to_vec();
-        p += pklen;
-        out.push(SidxEntry {
-            skey,
-            pkey,
-            voff,
-            vlen,
-        });
-    }
-    Ok(out)
+    IndexBlock::decode_all(block)
 }
 
 /// Result of building one secondary index.
@@ -210,7 +173,7 @@ pub fn write_sidx_blocks(
     cluster_width: u32,
 ) -> Result<SidxOutput> {
     let cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut builder = SidxBlockBuilder::new();
+    let mut builder = IndexBlockBuilder::new();
     let mut sketch = Sketch::new();
     let mut blocks = 0u32;
     let mut entries = 0u64;
@@ -330,7 +293,7 @@ mod tests {
 
     #[test]
     fn sidx_block_roundtrip() {
-        let mut b = SidxBlockBuilder::new();
+        let mut b = IndexBlockBuilder::new();
         let entries: Vec<SidxEntry> = (0..40u32)
             .map(|i| SidxEntry {
                 skey: SidxKey::F32(i as f32).encode(),
