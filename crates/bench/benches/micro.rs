@@ -10,8 +10,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use kvcsd_blockfs::{BlockFs, FsConfig};
+use kvcsd_core::admission::Deadline;
 use kvcsd_core::block::{IndexBlock, IndexBlockBuilder};
-use kvcsd_core::compact::{decode_pidx_block, PidxEntry};
+use kvcsd_core::compact::{compact, decode_pidx_block, PidxEntry};
 use kvcsd_core::dram::DramBudget;
 use kvcsd_core::extsort::ExtSorter;
 use kvcsd_core::ingest::{KlogRecord, WriteLog};
@@ -23,7 +24,7 @@ use kvcsd_flash::{
 use kvcsd_lsm::bloom::BloomFilter;
 use kvcsd_lsm::memtable::MemTable;
 use kvcsd_lsm::sstable::{new_block_cache, TableBuilder};
-use kvcsd_proto::BulkBuilder;
+use kvcsd_proto::{BulkBuilder, SecondaryIndexSpec, SecondaryKeyType};
 use kvcsd_sim::config::CostModel;
 use kvcsd_sim::{HardwareSpec, IoLedger};
 
@@ -190,6 +191,54 @@ fn bench_device_paths() {
     });
 }
 
+fn bench_compaction() {
+    const ITERS: u64 = 10;
+    let ks = keys(5_000);
+    let energy = SecondaryIndexSpec {
+        name: "energy".into(),
+        value_offset: 28,
+        value_len: 4,
+        key_type: SecondaryKeyType::F32,
+    };
+    for (name, specs) in [
+        ("compact/plain_5k", vec![]),
+        ("compact/one_index_5k", vec![energy]),
+    ] {
+        // Ingest outside the timed loop: every run consumes its own logs.
+        let mut sealed: Vec<_> = (0..=ITERS)
+            .map(|_| {
+                let (mgr, soc) = zone_mgr();
+                let kc = mgr.alloc_cluster(8).unwrap();
+                let vc = mgr.alloc_cluster(8).unwrap();
+                let mut log = WriteLog::new(kc, vc);
+                for (i, k) in ks.iter().enumerate() {
+                    let mut v = vec![9u8; 32];
+                    v[28..].copy_from_slice(&(i as f32).to_le_bytes());
+                    log.put(&mgr, &soc, k, &v).unwrap();
+                }
+                let (klen, vlen) = log.seal(&mgr).unwrap();
+                (mgr, soc, (kc, klen), (vc, vlen))
+            })
+            .collect();
+        bench(name, ITERS, 5_000, || {
+            let (mgr, soc, klog, vlog) = sealed.pop().unwrap();
+            let dram = DramBudget::new(8 << 20);
+            let out = compact(
+                &mgr,
+                &soc,
+                &dram,
+                klog,
+                vlog,
+                5_000,
+                8,
+                &specs,
+                &Deadline::none(),
+            );
+            out.unwrap().1.len()
+        });
+    }
+}
+
 fn bench_pidx_block() {
     let mut builder = IndexBlockBuilder::new();
     let mut keys = Vec::new();
@@ -244,6 +293,7 @@ fn main() {
     bench_crc32();
     bench_sstable();
     bench_device_paths();
+    bench_compaction();
     bench_pidx_block();
     bench_end_to_end();
 }

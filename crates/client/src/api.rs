@@ -263,37 +263,24 @@ impl Keyspace {
 
     /// Invoke offloaded compaction; returns the background job handle.
     pub fn compact(&self) -> Result<Job> {
-        match self.exec(KvCommand::Compact { ks: self.id })? {
-            KvResponse::JobStarted { job } => Ok(Job {
-                qp: self.qp.clone(),
-                id: job,
-                policy: self.policy,
-                clock: self.clock.clone(),
-                poll_streak: Arc::new(kvcsd_sim::sync::Shared::new(0)),
-            }),
-            other => Err(unexpected("JobStarted", &other)),
-        }
+        self.start_job(KvCommand::Compact { ks: self.id })
     }
 
     /// Invoke offloaded compaction that also builds the given secondary
     /// indexes in the same device-side pass (single-step construction;
     /// the device falls back to separated passes when its DRAM is tight).
     pub fn compact_with_indexes(&self, specs: Vec<SecondaryIndexSpec>) -> Result<Job> {
-        match self.exec(KvCommand::CompactAndIndex { ks: self.id, specs })? {
-            KvResponse::JobStarted { job } => Ok(Job {
-                qp: self.qp.clone(),
-                id: job,
-                policy: self.policy,
-                clock: self.clock.clone(),
-                poll_streak: Arc::new(kvcsd_sim::sync::Shared::new(0)),
-            }),
-            other => Err(unexpected("JobStarted", &other)),
-        }
+        self.start_job(KvCommand::CompactAndIndex { ks: self.id, specs })
     }
 
     /// Request construction of a secondary index; returns the job handle.
     pub fn build_secondary_index(&self, spec: SecondaryIndexSpec) -> Result<Job> {
-        match self.exec(KvCommand::BuildSecondaryIndex { ks: self.id, spec })? {
+        self.start_job(KvCommand::BuildSecondaryIndex { ks: self.id, spec })
+    }
+
+    /// Send a command that starts a background job; returns its handle.
+    fn start_job(&self, cmd: KvCommand) -> Result<Job> {
+        match self.exec(cmd)? {
             KvResponse::JobStarted { job } => Ok(Job {
                 qp: self.qp.clone(),
                 id: job,

@@ -1001,6 +1001,42 @@ impl ClusterRouter {
         Ok(KvResponse::JobStarted { job: JobId(id) })
     }
 
+    /// Compact every shard's slice of `ks`, building `specs` in the same
+    /// pass; a plain COMPACT when there are none.
+    fn do_compact(
+        &self,
+        deadline_ns: Option<u64>,
+        ks: u32,
+        specs: Vec<SecondaryIndexSpec>,
+    ) -> Result<KvResponse, KvStatus> {
+        self.remember_specs(ks, &specs);
+        self.do_cluster_job(
+            deadline_ns,
+            ks,
+            JobKind::Compact,
+            move |local| match specs.is_empty() {
+                true => KvCommand::Compact { ks: local },
+                false => KvCommand::CompactAndIndex {
+                    ks: local,
+                    specs: specs.clone(),
+                },
+            },
+            true,
+        )
+    }
+
+    /// Record index specs not yet seen for `ks`, for merge ordering.
+    fn remember_specs(&self, ks: u32, specs: &[SecondaryIndexSpec]) {
+        let mut routes = self.routes.lock();
+        if let Some(ck) = routes.keyspaces.get_mut(&ks) {
+            for spec in specs {
+                if !ck.specs.iter().any(|s| s.name == spec.name) {
+                    ck.specs.push(spec.clone());
+                }
+            }
+        }
+    }
+
     /// Cluster jobs are polled by *deriving* progress from per-shard
     /// keyspace states instead of tracking per-device job ids — device
     /// job tables die with their primary, keyspace states survive
@@ -1175,44 +1211,10 @@ impl ClusterRouter {
                 }
                 Ok(KvResponse::Flushed)
             }
-            KvCommand::Compact { ks } => self.do_cluster_job(
-                deadline_ns,
-                ks,
-                JobKind::Compact,
-                |local| KvCommand::Compact { ks: local },
-                true,
-            ),
-            KvCommand::CompactAndIndex { ks, specs } => {
-                {
-                    let mut routes = self.routes.lock();
-                    if let Some(ck) = routes.keyspaces.get_mut(&ks) {
-                        for spec in &specs {
-                            if !ck.specs.iter().any(|s| s.name == spec.name) {
-                                ck.specs.push(spec.clone());
-                            }
-                        }
-                    }
-                }
-                self.do_cluster_job(
-                    deadline_ns,
-                    ks,
-                    JobKind::Compact,
-                    move |local| KvCommand::CompactAndIndex {
-                        ks: local,
-                        specs: specs.clone(),
-                    },
-                    true,
-                )
-            }
+            KvCommand::Compact { ks } => self.do_compact(deadline_ns, ks, Vec::new()),
+            KvCommand::CompactAndIndex { ks, specs } => self.do_compact(deadline_ns, ks, specs),
             KvCommand::BuildSecondaryIndex { ks, spec } => {
-                {
-                    let mut routes = self.routes.lock();
-                    if let Some(ck) = routes.keyspaces.get_mut(&ks) {
-                        if !ck.specs.iter().any(|s| s.name == spec.name) {
-                            ck.specs.push(spec.clone());
-                        }
-                    }
-                }
+                self.remember_specs(ks, std::slice::from_ref(&spec));
                 self.do_cluster_job(
                     deadline_ns,
                     ks,

@@ -10,7 +10,9 @@
 //! [`RESTART_INTERVAL`]-th entry is listed up front: the RocksDB
 //! restart-point scheme the `kvcsd-lsm` baseline uses
 //! (`crates/lsm/src/sstable.rs`), but with full keys and no prefix
-//! compression, so any entry parses without its predecessors.
+//! compression, so any entry parses without its predecessors. Compaction
+//! and index builds write blocks through one `IndexWriter`, which also
+//! collects the sketch pivots.
 //!
 //! A query opens an [`IndexBlock`] view over the block it read,
 //! binary-searches the restart keys, scans at most one interval and then
@@ -23,7 +25,9 @@ use std::marker::PhantomData;
 use kvcsd_sim::bytes::try_le_u16;
 
 use crate::error::DeviceError;
+use crate::keyspace::Sketch;
 use crate::soc::SocCharger;
+use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
 use crate::BLOCK_BYTES;
 
@@ -121,6 +125,56 @@ impl<E: IndexEntry> IndexBlockBuilder<E> {
         self.entries.clear();
         self.count = 0;
         (block, self.first_key.take().unwrap_or_default())
+    }
+}
+
+/// Streams sorted entries into index blocks appended to one cluster and
+/// records each block's first key as a sketch pivot. PIDX and SIDX are
+/// both written through it.
+#[derive(Debug)]
+pub(crate) struct IndexWriter<'a, E> {
+    mgr: &'a ZoneManager,
+    cluster: ClusterId,
+    builder: IndexBlockBuilder<E>,
+    sketch: Sketch,
+    blocks: u32,
+}
+
+impl<'a, E: IndexEntry> IndexWriter<'a, E> {
+    /// Allocate the index cluster.
+    pub(crate) fn new(mgr: &'a ZoneManager, cluster_width: u32) -> Result<Self> {
+        Ok(Self {
+            mgr,
+            cluster: mgr.alloc_cluster(cluster_width)?,
+            builder: IndexBlockBuilder::new(),
+            sketch: Sketch::new(),
+            blocks: 0,
+        })
+    }
+
+    /// Append the next entry, sealing the current block if it is full.
+    pub fn push(&mut self, e: &E) -> Result<()> {
+        if !self.builder.fits(e) {
+            self.flush()?;
+        }
+        self.builder.add(e);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        let (block, first) = self.builder.finish();
+        self.mgr.append_block(self.cluster, &block)?;
+        self.sketch.push(first);
+        self.blocks += 1;
+        Ok(())
+    }
+
+    /// Seal the last block: `((cluster, blocks), sketch)`.
+    pub fn finish(mut self) -> Result<((ClusterId, u32), Sketch)> {
+        if !self.builder.is_empty() {
+            self.flush()?;
+        }
+        Ok(((self.cluster, self.blocks), self.sketch))
     }
 }
 

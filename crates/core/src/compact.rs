@@ -1,4 +1,5 @@
-//! Offloaded, deferred compaction: unordered logs -> PIDX + SORTED_VALUES.
+//! Offloaded, deferred compaction: unordered logs -> PIDX + SORTED_VALUES,
+//! plus any requested secondary indexes in the same pass.
 //!
 //! "Sorting a keyspace is done in two steps. First, KV-CSD sorts the
 //! keys. Then, KV-CSD uses the sorted keys to sort the values. ... Once a
@@ -16,16 +17,27 @@
 //! attaching ranks, and finally resort `(rank, value)` records to produce
 //! SORTED_VALUES with nothing but sequential I/O and DRAM-bounded merge
 //! passes — "multiple rounds of merge sorts" exactly as the paper says.
+//!
+//! [`compact`] is the only compaction pass. Given secondary-index specs it
+//! is also the paper's single-step index construction (its stated future
+//! work): the primary key rides along with every tag and value, and as
+//! values stream out into SORTED_VALUES each spec's key is extracted into
+//! one more sorter, sparing the full re-scan of a separate
+//! [`crate::sidx::build_secondary_index`]. Without specs the records carry
+//! no key and no index sorter runs.
 
 use kvcsd_sim::bytes::{le_u16, le_u32, le_u64, try_le_u16, try_le_u32, try_le_u64};
 use std::cmp::Ordering;
 
+use kvcsd_proto::SecondaryIndexSpec;
+
 use crate::admission::Deadline;
-use crate::block::{IndexBlock, IndexBlockBuilder, IndexEntry};
+use crate::block::{IndexBlock, IndexEntry, IndexWriter};
 use crate::dram::DramBudget;
 use crate::extsort::{ExtSorter, SortRecord};
-use crate::ingest::{KlogRecord, StreamReader};
+use crate::ingest::{BlockStreamWriter, KlogRecord, StreamReader};
 use crate::keyspace::Sketch;
+use crate::sidx::{write_sidx_blocks, SidxEntry, SidxOutput};
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
@@ -79,33 +91,50 @@ pub fn decode_pidx_block(block: &[u8]) -> Result<Vec<PidxEntry>> {
 }
 
 // ---------------------------------------------------------------------------
-// Auxiliary sort records for the value pass
+// Sort records for the value pass
 // ---------------------------------------------------------------------------
 
-/// Tag sorted back into VLOG order: where each value sits in VLOG and the
-/// rank it must take in SORTED_VALUES.
+/// Tag sorted back into VLOG order: where each value sits in VLOG, the
+/// rank it must take in SORTED_VALUES and, when `KEYED`, its primary key
+/// (empty otherwise).
+///
+/// `voff u64 | vlen u32 | rank u64 [| klen u16 | key]`
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct GatherRec {
+struct GatherRec<const KEYED: bool> {
     voff: u64,
     vlen: u32,
     rank: u64,
+    key: Vec<u8>,
 }
 
-impl SortRecord for GatherRec {
+impl<const KEYED: bool> GatherRec<KEYED> {
+    const HEADER: usize = if KEYED { 22 } else { 20 };
+}
+
+impl<const KEYED: bool> SortRecord for GatherRec<KEYED> {
     fn encoded_len(&self) -> usize {
-        20
+        Self::HEADER + self.key.len()
     }
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.voff.to_le_bytes());
         out.extend_from_slice(&self.vlen.to_le_bytes());
         out.extend_from_slice(&self.rank.to_le_bytes());
+        if KEYED {
+            out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
+            out.extend_from_slice(&self.key);
+        }
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let b = r.read(20)?;
+        let hdr = r.read(Self::HEADER)?;
+        let key = match KEYED {
+            true => r.read(le_u16(&hdr, 20) as usize)?,
+            false => Vec::new(),
+        };
         Ok(GatherRec {
-            voff: le_u64(&b, 0),
-            vlen: le_u32(&b, 8),
-            rank: le_u64(&b, 12),
+            voff: le_u64(&hdr, 0),
+            vlen: le_u32(&hdr, 8),
+            rank: le_u64(&hdr, 12),
+            key,
         })
     }
     fn cmp_key(&self, other: &Self) -> Ordering {
@@ -117,29 +146,44 @@ impl SortRecord for GatherRec {
     }
 }
 
-/// A value tagged with its output rank.
+/// A value tagged with its output rank and, when `KEYED`, its primary key
+/// (empty otherwise).
+///
+/// `rank u64 | vlen u32 [| klen u16 | key] | value`
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct ValueRec {
+struct ValueRec<const KEYED: bool> {
     rank: u64,
+    key: Vec<u8>,
     value: Vec<u8>,
 }
 
-impl SortRecord for ValueRec {
+impl<const KEYED: bool> ValueRec<KEYED> {
+    const HEADER: usize = if KEYED { 14 } else { 12 };
+}
+
+impl<const KEYED: bool> SortRecord for ValueRec<KEYED> {
     fn encoded_len(&self) -> usize {
-        12 + self.value.len()
+        Self::HEADER + self.key.len() + self.value.len()
     }
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.rank.to_le_bytes());
         out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
+        if KEYED {
+            out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
+            out.extend_from_slice(&self.key);
+        }
         out.extend_from_slice(&self.value);
     }
     fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read(12)?;
-        let rank = le_u64(&hdr, 0);
-        let vlen = le_u32(&hdr, 8) as usize;
+        let hdr = r.read(Self::HEADER)?;
+        let key = match KEYED {
+            true => r.read(le_u16(&hdr, 12) as usize)?,
+            false => Vec::new(),
+        };
         Ok(ValueRec {
-            rank,
-            value: r.read(vlen)?,
+            rank: le_u64(&hdr, 0),
+            key,
+            value: r.read(le_u32(&hdr, 8) as usize)?,
         })
     }
     fn cmp_key(&self, other: &Self) -> Ordering {
@@ -161,13 +205,23 @@ pub struct CompactionOutput {
 }
 
 /// Sort a sealed keyspace: consume its KLOG/VLOG clusters (released on
-/// success) and produce PIDX + SORTED_VALUES clusters plus the sketch.
+/// success) and produce PIDX + SORTED_VALUES clusters plus the sketch,
+/// and one SIDX per entry of `specs`, built in the same data pass.
 ///
-/// The deadline is checked at each phase boundary; an expired compaction
+/// "One cost of consolidating all index construction into a single step
+/// is the increased SoC DRAM usage. We expect KV-CSD to resort back to
+/// separated index construction when DRAM resources become a
+/// bottleneck." (Section V) Here each index adds a sorter that runs
+/// beside the value sorter, and primary keys ride through the value
+/// passes. When a sorter cannot reserve its minimum DRAM this returns
+/// `OutOfResources` and the device falls back to separated construction.
+///
+/// The deadline is checked at each phase boundary (and once more before
+/// the indexes are written, when there are any); an expired compaction
 /// aborts between passes and the caller's orphan sweep unwinds its
 /// partial output (the sealed logs stay untouched until the final swap).
 #[allow(clippy::too_many_arguments)]
-pub fn run_compaction(
+pub fn compact(
     mgr: &ZoneManager,
     soc: &SocCharger,
     dram: &DramBudget,
@@ -175,8 +229,39 @@ pub fn run_compaction(
     vlog: (ClusterId, u64),
     pairs: u64,
     cluster_width: u32,
+    specs: &[SecondaryIndexSpec],
     deadline: &Deadline<'_>,
-) -> Result<CompactionOutput> {
+) -> Result<(CompactionOutput, Vec<SidxOutput>)> {
+    let pass = match specs.is_empty() {
+        true => compact_pass::<false>,
+        false => compact_pass::<true>,
+    };
+    pass(
+        mgr,
+        soc,
+        dram,
+        klog,
+        vlog,
+        pairs,
+        cluster_width,
+        specs,
+        deadline,
+    )
+}
+
+/// [`compact`] with records that carry the primary key iff `KEYED`.
+#[allow(clippy::too_many_arguments)]
+fn compact_pass<const KEYED: bool>(
+    mgr: &ZoneManager,
+    soc: &SocCharger,
+    dram: &DramBudget,
+    klog: (ClusterId, u64),
+    vlog: (ClusterId, u64),
+    pairs: u64,
+    cluster_width: u32,
+    specs: &[SecondaryIndexSpec],
+    deadline: &Deadline<'_>,
+) -> Result<(CompactionOutput, Vec<SidxOutput>)> {
     // ---- Step 1: sort the keys -------------------------------------------
     let mut key_sorter: ExtSorter<'_, KlogRecord> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
     {
@@ -190,48 +275,45 @@ pub fn run_compaction(
     deadline.check()?;
 
     // Emit PIDX blocks + sketch; collect (voff, vlen, rank) gather tags.
-    let pidx_cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut sketch = Sketch::new();
-    let mut builder = IndexBlockBuilder::new();
-    let mut pidx_blocks = 0u32;
-    let mut gather_sorter: ExtSorter<'_, GatherRec> =
+    let mut pidx = IndexWriter::new(mgr, cluster_width)?;
+    let mut gather_sorter: ExtSorter<'_, GatherRec<KEYED>> =
         ExtSorter::new(mgr, soc, dram, cluster_width)?;
     let mut rank = 0u64;
     let mut out_voff = 0u64;
     key_sorter.finish_into(|rec| {
-        let e = PidxEntry {
+        let key = match KEYED {
+            true => rec.key.clone(),
+            false => Vec::new(),
+        };
+        pidx.push(&PidxEntry {
             key: rec.key,
             voff: out_voff,
             vlen: rec.vlen,
-        };
-        if !builder.fits(&e) {
-            let (block, first) = builder.finish();
-            mgr.append_block(pidx_cluster, &block)?;
-            sketch.push(first);
-            pidx_blocks += 1;
-        }
-        builder.add(&e);
+        })?;
         gather_sorter.push(GatherRec {
             voff: rec.voff,
             vlen: rec.vlen,
             rank,
+            key,
         })?;
         rank += 1;
         out_voff += rec.vlen as u64;
         Ok(())
     })?;
-    if !builder.is_empty() {
-        let (block, first) = builder.finish();
-        mgr.append_block(pidx_cluster, &block)?;
-        sketch.push(first);
-        pidx_blocks += 1;
-    }
+    let (pidx, sketch) = pidx.finish()?;
     deadline.check()?;
 
-    // ---- Step 2: sort the values -----------------------------------------
+    // ---- Step 2: sort the values, extracting index keys in flight -------
+    // One sorter per index: the "increased SoC DRAM usage".
+    let mut sidx_sorters = specs
+        .iter()
+        .map(|_| ExtSorter::new(mgr, soc, dram, cluster_width))
+        .collect::<Result<Vec<ExtSorter<'_, SidxEntry>>>>()?;
+
     // 2a: tags back into VLOG order (they are a permutation of the VLOG
     //     byte sequence, so this merge restores sequential read order).
-    let mut value_sorter: ExtSorter<'_, ValueRec> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
+    let mut value_sorter: ExtSorter<'_, ValueRec<KEYED>> =
+        ExtSorter::new(mgr, soc, dram, cluster_width)?;
     {
         let mut vread = StreamReader::new(mgr, vlog.0, vlog.1);
         gather_sorter.finish_into(|tag| {
@@ -239,213 +321,6 @@ pub fn run_compaction(
             let value = vread.read(tag.vlen as usize)?;
             soc.memcpy(value.len());
             value_sorter.push(ValueRec {
-                rank: tag.rank,
-                value,
-            })?;
-            Ok(())
-        })?;
-    }
-    deadline.check()?;
-
-    // 2b: values into final order, streamed into SORTED_VALUES.
-    let svalues_cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut writer = crate::ingest::BlockStreamWriter::new(svalues_cluster);
-    let mut expected_rank = 0u64;
-    value_sorter.finish_into(|vr| {
-        debug_assert_eq!(vr.rank, expected_rank, "ranks must arrive in order");
-        expected_rank += 1;
-        soc.memcpy(vr.value.len());
-        writer.append(mgr, &vr.value)?;
-        Ok(())
-    })?;
-    let svalues_len = writer.seal(mgr)?;
-    debug_assert_eq!(svalues_len, out_voff);
-
-    // ---- Replace the logs ---------------------------------------------------
-    mgr.release_cluster(klog.0)?;
-    mgr.release_cluster(vlog.0)?;
-
-    Ok(CompactionOutput {
-        pidx: (pidx_cluster, pidx_blocks),
-        sketch,
-        svalues: (svalues_cluster, svalues_len),
-        pairs,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Single-pass compaction + secondary-index construction (the paper's
-// stated future work)
-// ---------------------------------------------------------------------------
-
-/// Gather tag that also carries the primary key, so secondary-index
-/// entries can be produced while values stream through the final pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GatherRecK {
-    voff: u64,
-    vlen: u32,
-    rank: u64,
-    key: Vec<u8>,
-}
-
-impl SortRecord for GatherRecK {
-    fn encoded_len(&self) -> usize {
-        22 + self.key.len()
-    }
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.voff.to_le_bytes());
-        out.extend_from_slice(&self.vlen.to_le_bytes());
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.key);
-    }
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read(22)?;
-        let voff = le_u64(&hdr, 0);
-        let vlen = le_u32(&hdr, 8);
-        let rank = le_u64(&hdr, 12);
-        let klen = le_u16(&hdr, 20) as usize;
-        Ok(GatherRecK {
-            voff,
-            vlen,
-            rank,
-            key: r.read(klen)?,
-        })
-    }
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.voff.cmp(&other.voff).then(self.vlen.cmp(&other.vlen))
-    }
-}
-
-/// A value tagged with its output rank and its primary key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ValueRecK {
-    rank: u64,
-    key: Vec<u8>,
-    value: Vec<u8>,
-}
-
-impl SortRecord for ValueRecK {
-    fn encoded_len(&self) -> usize {
-        14 + self.key.len() + self.value.len()
-    }
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
-        out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.key);
-        out.extend_from_slice(&self.value);
-    }
-    fn read_from(r: &mut StreamReader<'_>) -> Result<Self> {
-        let hdr = r.read(14)?;
-        let rank = le_u64(&hdr, 0);
-        let klen = le_u16(&hdr, 8) as usize;
-        let vlen = le_u32(&hdr, 10) as usize;
-        Ok(ValueRecK {
-            rank,
-            key: r.read(klen)?,
-            value: r.read(vlen)?,
-        })
-    }
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.rank.cmp(&other.rank)
-    }
-}
-
-/// Compact a keyspace *and* build its secondary indexes in the same data
-/// pass, avoiding the later full keyspace re-scan.
-///
-/// "In future we expect to run these index construction operations in one
-/// single step to prevent from having to repeatedly reading back keyspace
-/// data into SoC DRAM ... One cost of consolidating all index
-/// construction into a single step is the increased SoC DRAM usage. We
-/// expect KV-CSD to resort back to separated index construction when DRAM
-/// resources become a bottleneck." (Section V)
-///
-/// The increased DRAM usage is real here: one extra sorter per index runs
-/// concurrently with the value sorter, and primary keys ride through the
-/// value passes. When any sorter cannot reserve its minimum DRAM this
-/// returns `OutOfResources`; the device falls back to the separated path.
-#[allow(clippy::too_many_arguments)]
-pub fn run_compaction_with_indexes(
-    mgr: &ZoneManager,
-    soc: &SocCharger,
-    dram: &DramBudget,
-    klog: (ClusterId, u64),
-    vlog: (ClusterId, u64),
-    pairs: u64,
-    cluster_width: u32,
-    specs: &[kvcsd_proto::SecondaryIndexSpec],
-    deadline: &Deadline<'_>,
-) -> Result<(CompactionOutput, Vec<crate::sidx::SidxOutput>)> {
-    use crate::sidx::SidxEntry;
-
-    // ---- Step 1: sort the keys (identical to the separated path) --------
-    let mut key_sorter: ExtSorter<'_, KlogRecord> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
-    {
-        let mut r = StreamReader::new(mgr, klog.0, klog.1);
-        for _ in 0..pairs {
-            let rec = KlogRecord::read_from(&mut r)?;
-            soc.bytes(rec.encoded_len());
-            key_sorter.push(rec)?;
-        }
-    }
-    deadline.check()?;
-
-    let pidx_cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut sketch = Sketch::new();
-    let mut builder = IndexBlockBuilder::new();
-    let mut pidx_blocks = 0u32;
-    let mut gather_sorter: ExtSorter<'_, GatherRecK> =
-        ExtSorter::new(mgr, soc, dram, cluster_width)?;
-    let mut rank = 0u64;
-    let mut out_voff = 0u64;
-    key_sorter.finish_into(|rec| {
-        let e = PidxEntry {
-            key: rec.key.clone(),
-            voff: out_voff,
-            vlen: rec.vlen,
-        };
-        if !builder.fits(&e) {
-            let (block, first) = builder.finish();
-            mgr.append_block(pidx_cluster, &block)?;
-            sketch.push(first);
-            pidx_blocks += 1;
-        }
-        builder.add(&e);
-        gather_sorter.push(GatherRecK {
-            voff: rec.voff,
-            vlen: rec.vlen,
-            rank,
-            key: rec.key,
-        })?;
-        rank += 1;
-        out_voff += rec.vlen as u64;
-        Ok(())
-    })?;
-    if !builder.is_empty() {
-        let (block, first) = builder.finish();
-        mgr.append_block(pidx_cluster, &block)?;
-        sketch.push(first);
-        pidx_blocks += 1;
-    }
-    deadline.check()?;
-
-    // ---- Step 2: sort the values, extracting index keys in flight -------
-    // The extra sorters are the "increased SoC DRAM usage".
-    let mut sidx_sorters: Vec<ExtSorter<'_, SidxEntry>> = Vec::with_capacity(specs.len());
-    for _ in specs {
-        sidx_sorters.push(ExtSorter::new(mgr, soc, dram, cluster_width)?);
-    }
-
-    let mut value_sorter: ExtSorter<'_, ValueRecK> = ExtSorter::new(mgr, soc, dram, cluster_width)?;
-    {
-        let mut vread = StreamReader::new(mgr, vlog.0, vlog.1);
-        gather_sorter.finish_into(|tag| {
-            debug_assert_eq!(vread.position(), tag.voff);
-            let value = vread.read(tag.vlen as usize)?;
-            soc.memcpy(value.len());
-            value_sorter.push(ValueRecK {
                 rank: tag.rank,
                 key: tag.key,
                 value,
@@ -455,11 +330,12 @@ pub fn run_compaction_with_indexes(
     }
     deadline.check()?;
 
+    // 2b: values into final order, streamed into SORTED_VALUES.
     let svalues_cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut writer = crate::ingest::BlockStreamWriter::new(svalues_cluster);
+    let mut writer = BlockStreamWriter::new(svalues_cluster);
     let mut expected_rank = 0u64;
     value_sorter.finish_into(|vr| {
-        debug_assert_eq!(vr.rank, expected_rank);
+        debug_assert_eq!(vr.rank, expected_rank, "ranks must arrive in order");
         let voff = writer.position();
         for (spec, sorter) in specs.iter().zip(sidx_sorters.iter_mut()) {
             if let Some(skey) = spec.extract(&vr.value) {
@@ -479,31 +355,31 @@ pub fn run_compaction_with_indexes(
     })?;
     let svalues_len = writer.seal(mgr)?;
     debug_assert_eq!(svalues_len, out_voff);
-    deadline.check()?;
 
-    // ---- Finish the indexes -----------------------------------------------
-    let mut sidx_outputs = Vec::with_capacity(specs.len());
-    for sorter in sidx_sorters {
-        sidx_outputs.push(crate::sidx::write_sidx_blocks(mgr, sorter, cluster_width)?);
+    // ---- Finish the indexes, replace the logs -----------------------------
+    if !specs.is_empty() {
+        deadline.check()?;
     }
-
+    let sidx = sidx_sorters
+        .into_iter()
+        .map(|sorter| write_sidx_blocks(mgr, sorter, cluster_width))
+        .collect::<Result<Vec<_>>>()?;
     mgr.release_cluster(klog.0)?;
     mgr.release_cluster(vlog.0)?;
 
-    Ok((
-        CompactionOutput {
-            pidx: (pidx_cluster, pidx_blocks),
-            sketch,
-            svalues: (svalues_cluster, svalues_len),
-            pairs,
-        },
-        sidx_outputs,
-    ))
+    let out = CompactionOutput {
+        pidx,
+        sketch,
+        svalues: (svalues_cluster, svalues_len),
+        pairs,
+    };
+    Ok((out, sidx))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::IndexBlockBuilder;
     use crate::error::DeviceError;
     use crate::ingest::WriteLog;
     use crate::BLOCK_BYTES;
@@ -553,7 +429,7 @@ mod tests {
             pairs.push((key, value));
         }
         let (klen, vlen) = log.seal(mgr).unwrap();
-        let out = run_compaction(
+        let out = compact(
             mgr,
             soc,
             dram,
@@ -561,9 +437,11 @@ mod tests {
             (vc, vlen),
             n,
             4,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         pairs.sort();
         (out, pairs)
     }
@@ -688,7 +566,7 @@ mod tests {
         let vc = mgr.alloc_cluster(2).unwrap();
         let mut log = WriteLog::new(kc, vc);
         let (klen, vlen) = log.seal(&mgr).unwrap();
-        let out = run_compaction(
+        let out = compact(
             &mgr,
             &soc,
             &dram,
@@ -696,9 +574,11 @@ mod tests {
             (vc, vlen),
             0,
             2,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.pairs, 0);
         assert_eq!(out.pidx.1, 0);
         assert!(out.sketch.is_empty());
@@ -719,7 +599,7 @@ mod tests {
                 .unwrap();
         }
         let (klen, vlen) = log.seal(&mgr).unwrap();
-        let out = run_compaction(
+        let out = compact(
             &mgr,
             &soc,
             &dram,
@@ -727,9 +607,11 @@ mod tests {
             (vc, vlen),
             10,
             2,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let got = read_all_entries(&mgr, &out);
         assert_eq!(got.len(), 10);
         assert!(got.iter().all(|(k, _)| k == b"same-key"));
@@ -764,7 +646,7 @@ mod tests {
         // Separated path.
         let (mgr_a, soc_a, dram_a) = setup(512);
         let (klog, vlog) = load(&mgr_a, &soc_a);
-        let cout_a = run_compaction(
+        let cout_a = compact(
             &mgr_a,
             &soc_a,
             &dram_a,
@@ -772,9 +654,11 @@ mod tests {
             vlog,
             2_000,
             4,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let sout_a = build_secondary_index(
             &mgr_a,
             &soc_a,
@@ -790,7 +674,7 @@ mod tests {
         // Single pass.
         let (mgr_b, soc_b, dram_b) = setup(512);
         let (klog, vlog) = load(&mgr_b, &soc_b);
-        let (cout_b, souts_b) = run_compaction_with_indexes(
+        let (cout_b, souts_b) = compact(
             &mgr_b,
             &soc_b,
             &dram_b,
@@ -852,7 +736,7 @@ mod tests {
             value_len: 4,
             key_type: SecondaryKeyType::U32,
         }];
-        let err = run_compaction_with_indexes(
+        let err = compact(
             &mgr,
             &soc,
             &tight,
@@ -882,8 +766,18 @@ mod tests {
         let clock = VirtualClock::new();
         clock.advance(1000);
         let expired = Deadline::new(&clock, Some(500));
-        let err = run_compaction(&mgr, &soc, &dram, (kc, klen), (vc, vlen), 200, 2, &expired)
-            .unwrap_err();
+        let err = compact(
+            &mgr,
+            &soc,
+            &dram,
+            (kc, klen),
+            (vc, vlen),
+            200,
+            2,
+            &[],
+            &expired,
+        )
+        .unwrap_err();
         assert_eq!(err, DeviceError::DeadlineExceeded);
         assert_eq!(dram.used(), 0, "aborted compaction must release DRAM");
     }
@@ -904,7 +798,7 @@ mod tests {
             pairs.push((key, value));
         }
         let (klen, vlen) = log.seal(&mgr).unwrap();
-        let out = run_compaction(
+        let out = compact(
             &mgr,
             &soc,
             &dram,
@@ -912,9 +806,11 @@ mod tests {
             (vc, vlen),
             300,
             4,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         pairs.sort();
         assert_eq!(read_all_entries(&mgr, &out), pairs);
     }

@@ -7,7 +7,7 @@
 //! harnesses call that inside a *background* phase — the virtual clock the
 //! host application sees does not advance, which is precisely the
 //! latency-hiding the paper claims. A host that chooses to block (e.g.
-//! [`kvcsd_client`]'s `wait_for`) polls the job and triggers execution,
+//! `kvcsd_client`'s `wait_for`) polls the job and triggers execution,
 //! paying the time in its own foreground phase instead.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -24,7 +24,7 @@ use kvcsd_sim::VirtualClock;
 
 use crate::admission::{AdmissionConfig, AdmissionGate, Deadline, Decision, PressureSample};
 use crate::artifact::{ArtifactPayload, KeyspaceArtifacts, SidxArtifact};
-use crate::compact::run_compaction;
+use crate::compact::compact;
 use crate::dram::DramBudget;
 use crate::error::DeviceError;
 use crate::ingest::WriteLog;
@@ -75,10 +75,8 @@ impl Default for DeviceConfig {
 
 #[derive(Debug)]
 enum Job {
+    /// Sort the sealed logs, building `specs` in the same pass.
     Compact {
-        ks: u32,
-    },
-    CompactAndIndex {
         ks: u32,
         specs: Vec<SecondaryIndexSpec>,
     },
@@ -86,6 +84,14 @@ enum Job {
         ks: u32,
         spec: SecondaryIndexSpec,
     },
+}
+
+impl Job {
+    fn ks(&self) -> u32 {
+        match self {
+            Job::Compact { ks, .. } | Job::BuildSidx { ks, .. } => *ks,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -282,7 +288,13 @@ impl KvCsdDevice {
             job_depth: Shared::new(0),
         };
         for ks in recompact {
-            dev.enqueue(Job::Compact { ks }, None);
+            dev.enqueue(
+                Job::Compact {
+                    ks,
+                    specs: Vec::new(),
+                },
+                None,
+            );
         }
         for ks in rewal {
             dev.replay_wal(ks)?;
@@ -627,8 +639,7 @@ impl KvCsdDevice {
                     self.jobs.lock().states.insert(id, JobState::Done);
                 }
                 Err(e) => {
-                    let is_compaction =
-                        matches!(job, Job::Compact { .. } | Job::CompactAndIndex { .. });
+                    let is_compaction = matches!(job, Job::Compact { .. });
                     // A compaction that died on the media or ran out of
                     // time leaves the keyspace DEGRADED: its sealed logs
                     // are intact, it can be deleted or re-compacted, and
@@ -652,11 +663,7 @@ impl KvCsdDevice {
                         }
                         _ => None,
                     };
-                    let ks = match &job {
-                        Job::Compact { ks }
-                        | Job::CompactAndIndex { ks, .. }
-                        | Job::BuildSidx { ks, .. } => *ks,
-                    };
+                    let ks = job.ks();
                     self.jobs
                         .lock()
                         .states
@@ -698,8 +705,7 @@ impl KvCsdDevice {
 
     fn exec_job(&self, job: &Job, deadline: &Deadline<'_>) -> Result<()> {
         match job {
-            Job::Compact { ks } => self.exec_compact(*ks, deadline),
-            Job::CompactAndIndex { ks, specs } => self.exec_compact_and_index(*ks, specs, deadline),
+            Job::Compact { ks, specs } => self.exec_compact(*ks, specs, deadline),
             Job::BuildSidx { ks, spec } => self.exec_build_sidx(*ks, spec, deadline),
         }
     }
@@ -792,11 +798,7 @@ impl KvCsdDevice {
     fn run_jobs_for(&self, ks: u32) {
         let has_any = {
             let jobs = self.jobs.lock();
-            jobs.queue.iter().any(|(_, j, _)| match j {
-                Job::Compact { ks: k }
-                | Job::CompactAndIndex { ks: k, .. }
-                | Job::BuildSidx { ks: k, .. } => *k == ks,
-            })
+            jobs.queue.iter().any(|(_, j, _)| j.ks() == ks)
         };
         if has_any {
             // Deletion "may be deferred due to on-going compaction or
@@ -806,46 +808,10 @@ impl KvCsdDevice {
         }
     }
 
-    fn exec_compact(&self, ks: u32, deadline: &Deadline<'_>) -> Result<()> {
-        let (klog, vlog, pairs) = self.km.with(ks, |k| {
-            let klog = k
-                .storage
-                .klog
-                .ok_or_else(|| DeviceError::Internal("no klog".into()))?;
-            let vlog = k
-                .storage
-                .vlog
-                .ok_or_else(|| DeviceError::Internal("no vlog".into()))?;
-            Ok((klog, vlog, k.pairs))
-        })?;
-        let out = run_compaction(
-            &self.mgr,
-            &self.soc,
-            &self.dram,
-            klog,
-            vlog,
-            pairs,
-            self.cfg.cluster_width,
-            deadline,
-        )?;
-        self.km.with_mut(ks, |k| {
-            k.storage.klog = None;
-            k.storage.vlog = None;
-            k.storage.pidx = Some(out.pidx);
-            k.storage.pidx_sketch = out.sketch.clone();
-            k.storage.svalues = Some(out.svalues);
-            k.transition_to(KeyspaceState::Compacted)?;
-            Ok(())
-        })?;
-        self.persist()?;
-        self.soc.ledger().bump("dev_compactions", 1);
-        Ok(())
-    }
-
-    /// Single-pass compaction + index construction, with the paper's
+    /// Compact `ks`, building `specs` in the same pass, with the paper's
     /// fallback: "resort back to separated index construction when DRAM
     /// resources become a bottleneck".
-    fn exec_compact_and_index(
+    fn exec_compact(
         &self,
         ks: u32,
         specs: &[SecondaryIndexSpec],
@@ -862,7 +828,7 @@ impl KvCsdDevice {
                 .ok_or_else(|| DeviceError::Internal("no vlog".into()))?;
             Ok((klog, vlog, k.pairs))
         })?;
-        match crate::compact::run_compaction_with_indexes(
+        let (out, souts) = match compact(
             &self.mgr,
             &self.soc,
             &self.dram,
@@ -873,47 +839,43 @@ impl KvCsdDevice {
             specs,
             deadline,
         ) {
-            Ok((out, souts)) => {
-                self.km.with_mut(ks, |k| {
-                    k.storage.klog = None;
-                    k.storage.vlog = None;
-                    k.storage.pidx = Some(out.pidx);
-                    k.storage.pidx_sketch = out.sketch.clone();
-                    k.storage.svalues = Some(out.svalues);
-                    for (spec, sout) in specs.iter().zip(souts) {
-                        k.storage.sidx.insert(
-                            spec.name.clone(),
-                            SecondaryIndex {
-                                spec: spec.clone(),
-                                cluster: sout.cluster,
-                                blocks: sout.blocks,
-                                sketch: sout.sketch,
-                                entries: sout.entries,
-                            },
-                        );
-                    }
-                    k.transition_to(KeyspaceState::Compacted)?;
-                    Ok(())
-                })?;
-                self.persist()?;
-                self.soc.ledger().bump("dev_single_pass_compactions", 1);
-                Ok(())
-            }
+            Ok(r) => r,
             // Zone exhaustion is not a DRAM bottleneck; the separated
             // path would only fail the same way. Let it surface so the
             // keyspace degrades to READ_ONLY.
-            Err(DeviceError::OutOfResources(m)) if !m.contains("zone") => {
+            Err(DeviceError::OutOfResources(m)) if !specs.is_empty() && !m.contains("zone") => {
                 // DRAM bottleneck: separated construction.
                 self.soc.ledger().bump("dev_single_pass_fallbacks", 1);
-                self.exec_compact(ks, deadline)?;
+                self.exec_compact(ks, &[], deadline)?;
                 for spec in specs {
                     deadline.check()?;
                     self.exec_build_sidx(ks, spec, deadline)?;
                 }
-                Ok(())
+                return Ok(());
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        self.km.with_mut(ks, |k| {
+            k.storage.klog = None;
+            k.storage.vlog = None;
+            k.storage.pidx = Some(out.pidx);
+            k.storage.pidx_sketch = out.sketch;
+            k.storage.svalues = Some(out.svalues);
+            for (spec, sout) in specs.iter().zip(souts) {
+                k.storage
+                    .sidx
+                    .insert(spec.name.clone(), SecondaryIndex::built(spec, sout));
+            }
+            k.transition_to(KeyspaceState::Compacted)?;
+            Ok(())
+        })?;
+        self.persist()?;
+        let counter = match specs.is_empty() {
+            true => "dev_compactions",
+            false => "dev_single_pass_compactions",
+        };
+        self.soc.ledger().bump(counter, 1);
+        Ok(())
     }
 
     fn exec_build_sidx(
@@ -944,16 +906,9 @@ impl KvCsdDevice {
             deadline,
         )?;
         self.km.with_mut(ks, |k| {
-            k.storage.sidx.insert(
-                spec.name.clone(),
-                SecondaryIndex {
-                    spec: spec.clone(),
-                    cluster: out.cluster,
-                    blocks: out.blocks,
-                    sketch: out.sketch.clone(),
-                    entries: out.entries,
-                },
-            );
+            k.storage
+                .sidx
+                .insert(spec.name.clone(), SecondaryIndex::built(spec, out));
             Ok(())
         })?;
         self.persist()?;
@@ -1084,16 +1039,16 @@ impl KvCsdDevice {
         }
     }
 
-    fn do_compact(&self, ks: u32, deadline_ns: Option<u64>) -> Result<JobId> {
-        self.do_compact_inner(ks, None, deadline_ns)
-    }
-
-    fn do_compact_inner(
+    /// Admit, validate and start a compaction that builds `specs` (none
+    /// for a plain COMPACT) in the same pass.
+    fn do_compact(
         &self,
         ks: u32,
-        specs: Option<Vec<SecondaryIndexSpec>>,
+        specs: Vec<SecondaryIndexSpec>,
         deadline_ns: Option<u64>,
-    ) -> Result<JobId> {
+    ) -> Result<KvResponse> {
+        self.admit_job()?;
+        validate_specs(&specs)?;
         enum Seal {
             /// Logs sealed now; the WAL cluster (if any) can be released.
             Sealed(Option<ClusterId>),
@@ -1157,21 +1112,15 @@ impl KvCsdDevice {
             }
         }
         self.persist()?;
-        let runnable = !matches!(sealed, Seal::Empty);
-        let job = match specs {
-            Some(specs) if runnable => {
-                self.enqueue(Job::CompactAndIndex { ks, specs }, deadline_ns)
-            }
-            _ => self.enqueue(Job::Compact { ks }, deadline_ns),
-        };
-        if !runnable {
+        let job = self.enqueue(Job::Compact { ks, specs }, deadline_ns);
+        if matches!(sealed, Seal::Empty) {
             // Empty keyspace: nothing to do; complete immediately.
             let mut jobs = self.jobs.lock();
             jobs.queue.retain(|(id, _, _)| *id != job.0);
             self.job_depth.set(jobs.queue.len());
             jobs.states.insert(job.0, JobState::Done);
         }
-        Ok(job)
+        Ok(KvResponse::JobStarted { job })
     }
 
     fn do_delete(&self, ks: u32) -> Result<()> {
@@ -1266,6 +1215,21 @@ fn require_queryable(k: &crate::keyspace::Keyspace, op: &'static str) -> Result<
     }
 }
 
+/// Reject index specs no build could honour, before any log is sealed: a
+/// fixed-width key type over a different number of value bytes, or a name
+/// the same request already gave (both would be built and one leaked).
+fn validate_specs(specs: &[SecondaryIndexSpec]) -> Result<()> {
+    for (i, spec) in specs.iter().enumerate() {
+        if spec.key_type.width().is_some_and(|w| w != spec.value_len) {
+            return Err(DeviceError::BadIndexSpec);
+        }
+        if specs[..i].iter().any(|s| s.name == spec.name) {
+            return Err(DeviceError::IndexExists);
+        }
+    }
+    Ok(())
+}
+
 impl DeviceHandler for KvCsdDevice {
     fn handle(&self, cmd: KvCommand) -> KvResponse {
         let (deadline_ns, cmd) = cmd.unwrap_deadline();
@@ -1333,21 +1297,10 @@ impl DeviceHandler for KvCsdDevice {
                     Ok(KvResponse::Flushed)
                 }
                 KvCommand::Compact { ks } => {
-                    self.admit_job()?;
-                    let job = self.do_compact(ks, deadline.deadline_ns())?;
-                    Ok(KvResponse::JobStarted { job })
+                    self.do_compact(ks, Vec::new(), deadline.deadline_ns())
                 }
                 KvCommand::CompactAndIndex { ks, specs } => {
-                    self.admit_job()?;
-                    for spec in &specs {
-                        if let Some(w) = spec.key_type.width() {
-                            if w != spec.value_len {
-                                return Err(DeviceError::BadIndexSpec);
-                            }
-                        }
-                    }
-                    let job = self.do_compact_inner(ks, Some(specs), deadline.deadline_ns())?;
-                    Ok(KvResponse::JobStarted { job })
+                    self.do_compact(ks, specs, deadline.deadline_ns())
                 }
                 KvCommand::BuildSecondaryIndex { ks, spec } => {
                     self.admit_job()?;
@@ -1360,11 +1313,7 @@ impl DeviceHandler for KvCsdDevice {
                         }
                         Ok(())
                     })?;
-                    if let Some(w) = spec.key_type.width() {
-                        if w != spec.value_len {
-                            return Err(DeviceError::BadIndexSpec);
-                        }
-                    }
+                    validate_specs(std::slice::from_ref(&spec))?;
                     let job = self.enqueue(Job::BuildSidx { ks, spec }, deadline.deadline_ns());
                     Ok(KvResponse::JobStarted { job })
                 }
@@ -1938,6 +1887,69 @@ mod tests {
             KvResponse::Entries(es) => assert_eq!(es.len(), 1),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn compact_and_index_without_specs_is_a_plain_compaction() {
+        let run = |cmd: fn(u32) -> KvCommand| {
+            let dev = device();
+            let ks = create(&dev, "plain");
+            for i in (0..2000).rev() {
+                ok(dev.handle(KvCommand::Put {
+                    ks,
+                    key: key(i),
+                    value: value(i),
+                }));
+            }
+            ok(dev.handle(cmd(ks)));
+            dev.run_pending_jobs();
+            match ok(dev.handle(KvCommand::Get { ks, key: key(7) })) {
+                KvResponse::Value(v) => assert_eq!(v, value(7)),
+                other => panic!("{other:?}"),
+            }
+            dev
+        };
+        let plain = run(|ks| KvCommand::Compact { ks });
+        let empty = run(|ks| KvCommand::CompactAndIndex { ks, specs: vec![] });
+        let ledger = empty.soc().ledger();
+        assert_eq!(ledger.custom("dev_compactions"), 1);
+        assert_eq!(ledger.custom("dev_single_pass_compactions"), 0);
+        // Unkeyed records: the same charges, byte for byte.
+        assert_eq!(ledger.snapshot(), plain.soc().ledger().snapshot());
+    }
+
+    #[test]
+    fn compact_and_index_rejects_duplicate_index_names() {
+        let dev = device();
+        let free0 = dev.zone_manager().free_zones();
+        let ks = create(&dev, "dup");
+        for i in (0..2000).rev() {
+            ok(dev.handle(KvCommand::Put {
+                ks,
+                key: key(i),
+                value: value(i),
+            }));
+        }
+        let energy = SecondaryIndexSpec {
+            name: "energy".into(),
+            value_offset: 28,
+            value_len: 4,
+            key_type: SecondaryKeyType::F32,
+        };
+        let r = dev.handle(KvCommand::CompactAndIndex {
+            ks,
+            specs: vec![energy.clone(), energy],
+        });
+        assert!(matches!(r, KvResponse::Err(KvStatus::IndexExists)), "{r:?}");
+        // Rejected before the logs were sealed.
+        match ok(dev.handle(KvCommand::Stat { ks })) {
+            KvResponse::Stat(s) => assert_eq!(s.state, KeyspaceState::Writable),
+            other => panic!("{other:?}"),
+        }
+        ok(dev.handle(KvCommand::Compact { ks }));
+        dev.run_pending_jobs();
+        ok(dev.handle(KvCommand::DeleteKeyspace { ks }));
+        assert_eq!(dev.zone_manager().free_zones(), free0, "no zone leaked");
     }
 
     #[test]

@@ -80,7 +80,7 @@ const MIN_RESERVATION: u64 = 16 * BLOCK_BYTES as u64;
 
 impl<'a, R: SortRecord> ExtSorter<'a, R> {
     /// Create a sorter. It immediately reserves sort memory from `dram`
-    /// (as much as available, at least [`MIN_RESERVATION`]).
+    /// (as much as available, at least `MIN_RESERVATION`).
     pub fn new(
         mgr: &'a ZoneManager,
         soc: &'a SocCharger,

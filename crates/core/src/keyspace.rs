@@ -18,6 +18,7 @@ use kvcsd_sim::sync::Mutex;
 
 use crate::error::DeviceError;
 use crate::ingest::WriteLog;
+use crate::sidx::SidxOutput;
 use crate::zone_mgr::ClusterId;
 use crate::Result;
 
@@ -101,6 +102,19 @@ pub struct SecondaryIndex {
     pub blocks: u32,
     pub sketch: Sketch,
     pub entries: u64,
+}
+
+impl SecondaryIndex {
+    /// Attach a freshly built index under `spec`.
+    pub(crate) fn built(spec: &SecondaryIndexSpec, out: SidxOutput) -> Self {
+        Self {
+            spec: spec.clone(),
+            cluster: out.cluster,
+            blocks: out.blocks,
+            sketch: out.sketch,
+            entries: out.entries,
+        }
+    }
 }
 
 /// Per-keyspace storage attachments, by lifecycle phase.

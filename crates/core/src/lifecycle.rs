@@ -7,7 +7,8 @@
 //! of truth for which state changes are legal; every mutation of
 //! `Keyspace::state` outside snapshot decoding flows through
 //! [`crate::keyspace::Keyspace::transition_to`], which checks the table
-//! and rejects illegal edges with [`DeviceError::IllegalTransition`].
+//! and rejects illegal edges with
+//! [`crate::error::DeviceError::IllegalTransition`].
 //!
 //! Invariants the table encodes:
 //! * COMPACTED never becomes writable again; re-ingest requires delete +

@@ -247,7 +247,7 @@ pub fn sidx_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::{decode_pidx_block, run_compaction};
+    use crate::compact::{compact, decode_pidx_block};
     use crate::dram::DramBudget;
     use crate::ingest::WriteLog;
     use crate::keyspace::SecondaryIndex;
@@ -315,7 +315,7 @@ mod tests {
             log.put(mgr, soc, &key(i), &scored_value(score(i))).unwrap();
         }
         let (klen, vlen) = log.seal(mgr).unwrap();
-        let cout = run_compaction(
+        let (cout, _) = compact(
             mgr,
             soc,
             dram,
@@ -323,6 +323,7 @@ mod tests {
             (vc, vlen),
             n as u64,
             4,
+            &[],
             &crate::admission::Deadline::none(),
         )
         .unwrap();

@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 use kvcsd_proto::SecondaryIndexSpec;
 
 use crate::admission::Deadline;
-use crate::block::{IndexBlock, IndexBlockBuilder, IndexEntry};
+use crate::block::{IndexBlock, IndexEntry, IndexWriter};
 use crate::compact::decode_pidx_block;
 use crate::dram::DramBudget;
 use crate::extsort::{ExtSorter, SortRecord};
@@ -166,35 +166,19 @@ pub fn build_secondary_index(
 
 /// Drain a sorted [`SidxEntry`] sorter into SIDX blocks plus the sketch.
 /// Shared by the separate build above and by single-pass compaction
-/// ([`crate::compact::run_compaction_with_indexes`]).
+/// ([`crate::compact::compact`] with index specs).
 pub fn write_sidx_blocks(
     mgr: &ZoneManager,
     sorter: ExtSorter<'_, SidxEntry>,
     cluster_width: u32,
 ) -> Result<SidxOutput> {
-    let cluster = mgr.alloc_cluster(cluster_width)?;
-    let mut builder = IndexBlockBuilder::new();
-    let mut sketch = Sketch::new();
-    let mut blocks = 0u32;
+    let mut writer = IndexWriter::new(mgr, cluster_width)?;
     let mut entries = 0u64;
     sorter.finish_into(|e| {
-        if !builder.fits(&e) {
-            let (block, first) = builder.finish();
-            mgr.append_block(cluster, &block)?;
-            sketch.push(first);
-            blocks += 1;
-        }
-        builder.add(&e);
         entries += 1;
-        Ok(())
+        writer.push(&e)
     })?;
-    if !builder.is_empty() {
-        let (block, first) = builder.finish();
-        mgr.append_block(cluster, &block)?;
-        sketch.push(first);
-        blocks += 1;
-    }
-
+    let ((cluster, blocks), sketch) = writer.finish()?;
     Ok(SidxOutput {
         cluster,
         blocks,
@@ -206,7 +190,8 @@ pub fn write_sidx_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::run_compaction;
+    use crate::block::IndexBlockBuilder;
+    use crate::compact::compact;
     use crate::ingest::WriteLog;
     use kvcsd_flash::{FlashGeometry, NandArray, ZnsConfig, ZonedNamespace};
     use kvcsd_proto::{SecondaryKeyType, SidxKey};
@@ -269,7 +254,7 @@ mod tests {
             truth.push((key, energy));
         }
         let (klen, vlen) = log.seal(mgr).unwrap();
-        let out = run_compaction(
+        let out = compact(
             mgr,
             soc,
             dram,
@@ -277,9 +262,11 @@ mod tests {
             (vc, vlen),
             n,
             4,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         (out, truth)
     }
 
@@ -382,7 +369,7 @@ mod tests {
             .unwrap();
         log.put(&mgr, &soc, b"tiny", b"xx").unwrap(); // too short for the spec
         let (klen, vlen) = log.seal(&mgr).unwrap();
-        let cout = run_compaction(
+        let cout = compact(
             &mgr,
             &soc,
             &dram,
@@ -390,9 +377,11 @@ mod tests {
             (vc, vlen),
             2,
             2,
+            &[],
             &Deadline::none(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let out = build_secondary_index(
             &mgr,
             &soc,
