@@ -143,12 +143,6 @@ impl WriteAccelerator {
         self.state.lock().acked
     }
 
-    /// Drain the per-completion latencies of the accelerator's window
-    /// (one sample per bulk command, virtual ns).
-    pub fn completion_latencies(&self) -> Vec<u64> {
-        self.window.completion_latencies()
-    }
-
     /// Take the staging buffer, key-sort it (host CPU charged: n·log₂n
     /// comparisons), pack it into bulk messages and submit them all;
     /// then claim oldest acks until at most `depth` remain outstanding.

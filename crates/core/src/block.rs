@@ -50,14 +50,18 @@ pub trait IndexEntry: Sized {
     fn decode(buf: &[u8]) -> Option<Self>;
 }
 
-fn restarts_for(count: usize) -> usize {
+const fn restarts_for(count: usize) -> usize {
     count.div_ceil(RESTART_INTERVAL)
 }
 
 /// Bytes before the first entry of a block holding `count` entries.
-fn header_len(count: usize) -> usize {
+const fn header_len(count: usize) -> usize {
     2 + 2 * restarts_for(count)
 }
+
+/// The largest entry a block can hold: one that fills it alone. Entries
+/// never span blocks, so a longer one cannot be written at all.
+pub const MAX_ENTRY_BYTES: usize = BLOCK_BYTES - header_len(1);
 
 fn malformed() -> DeviceError {
     DeviceError::Internal("malformed index block".into())

@@ -32,12 +32,12 @@ use std::cmp::Ordering;
 use kvcsd_proto::SecondaryIndexSpec;
 
 use crate::admission::Deadline;
-use crate::block::{IndexBlock, IndexEntry, IndexWriter};
+use crate::block::{IndexBlock, IndexEntry, IndexWriter, MAX_ENTRY_BYTES};
 use crate::dram::DramBudget;
 use crate::extsort::{ExtSorter, SortRecord};
 use crate::ingest::{BlockStreamWriter, KlogRecord, StreamReader};
 use crate::keyspace::Sketch;
-use crate::sidx::{write_sidx_blocks, SidxEntry, SidxOutput};
+use crate::sidx::{write_sidx_blocks, SidxEntry, SidxOutput, MAX_KEY_BYTES};
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
 use crate::Result;
@@ -55,6 +55,7 @@ pub struct PidxEntry {
 }
 
 const PIDX_ENTRY_HEADER: usize = 2 + 8 + 4;
+const _: () = assert!(PIDX_ENTRY_HEADER + MAX_KEY_BYTES <= MAX_ENTRY_BYTES);
 
 /// `klen u16 | voff u64 | vlen u32 | key`, in [`crate::block`] blocks.
 impl IndexEntry for PidxEntry {

@@ -31,7 +31,7 @@ use crate::ingest::WriteLog;
 use crate::keyspace::{KeyspaceManager, SecondaryIndex, Sketch};
 use crate::meta::MetaStore;
 use crate::query;
-use crate::sidx::build_secondary_index;
+use crate::sidx::{build_secondary_index, MAX_KEY_BYTES};
 use crate::snapshot;
 use crate::soc::SocCharger;
 use crate::zone_mgr::{ClusterId, ZoneManager};
@@ -966,9 +966,6 @@ impl KvCsdDevice {
     }
 
     fn do_put(&self, ks: u32, key: &[u8], value: &[u8]) -> Result<()> {
-        if key.is_empty() || key.len() > u16::MAX as usize {
-            return Err(DeviceError::BadPayload("key length".into()));
-        }
         self.ensure_writable(ks)?;
         self.km.with_mut(ks, |k| {
             // Write-ahead: the WAL record lands before the ingest buffer.
@@ -1215,12 +1212,23 @@ fn require_queryable(k: &crate::keyspace::Keyspace, op: &'static str) -> Result<
     }
 }
 
+/// Reject a key no index block could hold, before it reaches a log.
+fn validate_key(key: &[u8]) -> Result<()> {
+    if key.is_empty() || key.len() > MAX_KEY_BYTES {
+        return Err(DeviceError::BadPayload("key length".into()));
+    }
+    Ok(())
+}
+
 /// Reject index specs no build could honour, before any log is sealed: a
-/// fixed-width key type over a different number of value bytes, or a name
-/// the same request already gave (both would be built and one leaked).
+/// fixed-width key type over a different number of value bytes, a
+/// secondary key no SIDX block could hold, or a name the same request
+/// already gave (both would be built and one leaked).
 fn validate_specs(specs: &[SecondaryIndexSpec]) -> Result<()> {
     for (i, spec) in specs.iter().enumerate() {
-        if spec.key_type.width().is_some_and(|w| w != spec.value_len) {
+        if spec.key_type.width().is_some_and(|w| w != spec.value_len)
+            || spec.value_len > MAX_KEY_BYTES
+        {
             return Err(DeviceError::BadIndexSpec);
         }
         if specs[..i].iter().any(|s| s.name == spec.name) {
@@ -1261,6 +1269,7 @@ impl DeviceHandler for KvCsdDevice {
                     Ok(KvResponse::Deleted)
                 }
                 KvCommand::Put { ks, key, value } => {
+                    validate_key(&key)?;
                     self.admit_write(ks, &deadline)?;
                     if let Err(e) = self.do_put(ks, &key, &value) {
                         if Self::is_space_exhaustion(&e) {
@@ -1272,6 +1281,8 @@ impl DeviceHandler for KvCsdDevice {
                     Ok(KvResponse::PutOk)
                 }
                 KvCommand::BulkPut { ks, payload } => {
+                    // All or nothing: a bad key rejects the whole bulk.
+                    payload.iter().try_for_each(|(key, _)| validate_key(key))?;
                     self.admit_write(ks, &deadline)?;
                     let mut inserted = 0u64;
                     for (key, value) in payload.iter() {

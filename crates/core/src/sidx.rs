@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 use kvcsd_proto::SecondaryIndexSpec;
 
 use crate::admission::Deadline;
-use crate::block::{IndexBlock, IndexEntry, IndexWriter};
+use crate::block::{IndexBlock, IndexEntry, IndexWriter, MAX_ENTRY_BYTES};
 use crate::compact::decode_pidx_block;
 use crate::dram::DramBudget;
 use crate::extsort::{ExtSorter, SortRecord};
@@ -37,6 +37,11 @@ pub struct SidxEntry {
 }
 
 const SIDX_ENTRY_HEADER: usize = 2 + 2 + 8 + 4;
+
+/// The longest primary key, and the longest secondary key, a device
+/// accepts. An SIDX entry carries one of each and each gets half of
+/// [`MAX_ENTRY_BYTES`], so every PIDX and SIDX entry fits a block.
+pub const MAX_KEY_BYTES: usize = (MAX_ENTRY_BYTES - SIDX_ENTRY_HEADER) / 2;
 
 impl SortRecord for SidxEntry {
     fn encoded_len(&self) -> usize {

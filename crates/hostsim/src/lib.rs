@@ -5,12 +5,10 @@
 //! *logical* threads execute deterministically (serially) while every
 //! operation they perform is charged to the shared ledger; the
 //! [`kvcsd_sim::TimeModel`] then divides the phase's total host work by
-//! the pinned core count. This yields the same steady-state arithmetic as
-//! real pinned threads — total work over available cores — with exactly
-//! reproducible results.
+//! its thread count, clamped to the host's cores. This yields the same
+//! steady-state arithmetic as real pinned threads — total work over
+//! available cores — with exactly reproducible results.
 
-pub mod pinning;
 pub mod threads;
 
-pub use pinning::Pinning;
 pub use threads::run_threads;

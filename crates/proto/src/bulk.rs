@@ -109,20 +109,21 @@ impl BulkBuilder {
         ENTRY_HEADER + key.len() + value.len()
     }
 
-    /// True if the pair fits in the remaining space.
+    /// True if the entry header can encode the pair's lengths and the
+    /// pair fits in the remaining space.
     pub fn fits(&self, key: &[u8], value: &[u8]) -> bool {
-        self.buf.len() + Self::entry_bytes(key, value) <= self.capacity
+        key.len() <= u16::MAX as usize
+            && value.len() <= u32::MAX as usize
+            && self.buf.len() + Self::entry_bytes(key, value) <= self.capacity
     }
 
     /// Append a pair. Returns `false` (without modifying the builder) when
     /// the pair does not fit; the caller should [`BulkBuilder::finish`] and
-    /// start a new message.
+    /// start a new message, or send a pair no message can hold on its own.
     pub fn push(&mut self, key: &[u8], value: &[u8]) -> bool {
         if !self.fits(key, value) {
             return false;
         }
-        debug_assert!(key.len() <= u16::MAX as usize);
-        debug_assert!(value.len() <= u32::MAX as usize);
         self.buf
             .extend_from_slice(&(key.len() as u16).to_be_bytes());
         self.buf
@@ -196,6 +197,16 @@ mod tests {
         // Paper reports "up to 2570"; our 6-byte header gives 2427.
         assert_eq!(n, DEFAULT_BULK_BYTES / (6 + 16 + 32));
         assert!(n > 2400 && n < 2600);
+    }
+
+    #[test]
+    fn keys_the_header_cannot_encode_are_refused() {
+        let mut b = BulkBuilder::new(1 << 20);
+        assert!(!b.push(&vec![1; u16::MAX as usize + 1], b"v"));
+        assert!(b.is_empty());
+        assert!(b.push(&vec![1; u16::MAX as usize], b"v"));
+        let p = b.finish();
+        assert_eq!(p.iter().next().unwrap().0.len(), u16::MAX as usize);
     }
 
     #[test]

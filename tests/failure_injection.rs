@@ -4,9 +4,10 @@
 use std::sync::Arc;
 
 use kvcsd::cluster::StackBuilder;
+use kvcsd::device::sidx::MAX_KEY_BYTES;
 use kvcsd::device::{DeviceConfig, KvCsdDevice};
 use kvcsd::flash::{FlashGeometry, ZnsConfig};
-use kvcsd::proto::{Bound, KvStatus, SecondaryIndexSpec, SecondaryKeyType};
+use kvcsd::proto::{Bound, KeyspaceState, KvStatus, SecondaryIndexSpec, SecondaryKeyType, SidxKey};
 use kvcsd::sim::config::SimConfig;
 use kvcsd_client::{ClientError, KvCsd};
 
@@ -166,6 +167,74 @@ fn failed_sidx_spec_reports_and_preserves_keyspace() {
     assert!(got.is_empty());
     // Primary data untouched.
     assert_eq!(ks.get(b"key").unwrap(), vec![1u8; 8]);
+}
+
+/// The longest key the device accepts compacts into the primary index;
+/// one byte more is refused on `Put` and `BulkPut` (the whole bulk)
+/// instead of failing the compaction and stranding the keyspace.
+#[test]
+fn longest_key_compacts_and_one_byte_more_is_refused() {
+    let (dev, client) = tiny_device(512);
+    let ks = client.create_keyspace("long").unwrap();
+    let longest = vec![b'k'; MAX_KEY_BYTES];
+    let over = vec![b'l'; MAX_KEY_BYTES + 1];
+    ks.put(&longest, b"v").unwrap();
+    assert!(matches!(
+        ks.put(&over, b"v"),
+        Err(ClientError::Device(KvStatus::BadValue))
+    ));
+    let mut bulk = ks.bulk_writer();
+    bulk.put(b"a", b"v").unwrap();
+    bulk.put(&over, b"v").unwrap();
+    assert!(matches!(
+        bulk.flush(),
+        Err(ClientError::Device(KvStatus::BadValue))
+    ));
+
+    ks.compact().unwrap();
+    dev.run_pending_jobs();
+    assert_eq!(ks.stat().unwrap().state, KeyspaceState::Compacted);
+    assert_eq!(ks.get(&longest).unwrap(), b"v");
+    for refused in [&b"a"[..], &over] {
+        assert!(matches!(
+            ks.get(refused),
+            Err(ClientError::Device(KvStatus::KeyNotFound))
+        ));
+    }
+}
+
+/// The longest key with the longest secondary key fills an SIDX entry
+/// that still fits a block; a secondary key one byte longer is refused
+/// synchronously by both index requests, leaving the keyspace as it was.
+#[test]
+fn longest_key_and_secondary_key_index_and_one_byte_more_is_refused() {
+    let (dev, client) = tiny_device(512);
+    let ks = client.create_keyspace("long-sidx").unwrap();
+    let key = vec![b'k'; MAX_KEY_BYTES];
+    let value = vec![7u8; MAX_KEY_BYTES + 1];
+    ks.put(&key, &value).unwrap();
+    let spec = |name: &str, value_len: usize| SecondaryIndexSpec {
+        name: name.into(),
+        value_offset: 0,
+        value_len,
+        key_type: SecondaryKeyType::Bytes,
+    };
+
+    assert!(matches!(
+        ks.compact_with_indexes(vec![spec("over", MAX_KEY_BYTES + 1)]),
+        Err(ClientError::Device(KvStatus::BadIndexSpec))
+    ));
+    assert_eq!(ks.stat().unwrap().state, KeyspaceState::Writable);
+    ks.compact_with_indexes(vec![spec("longest", MAX_KEY_BYTES)])
+        .unwrap();
+    dev.run_pending_jobs();
+    assert_eq!(ks.stat().unwrap().state, KeyspaceState::Compacted);
+    let skey = SidxKey::Bytes(value[..MAX_KEY_BYTES].to_vec());
+    assert_eq!(ks.sidx_get("longest", skey).unwrap(), vec![(key, value)]);
+    assert!(matches!(
+        ks.build_secondary_index(spec("over", MAX_KEY_BYTES + 1)),
+        Err(ClientError::Device(KvStatus::BadIndexSpec))
+    ));
 }
 
 #[test]

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use kvcsd::cluster::{ClusterConfig, ClusterRouter, ShardHealth};
 use kvcsd::proto::{Bound, DeviceHandler, JobState, KvCommand, KvResponse, KvStatus};
-use kvcsd::sim::FaultPlan;
+use kvcsd::sim::{FaultPlan, LedgerSnapshot};
 
 const SHARDS: u32 = 2;
 const PAIRS_PER_BATCH: u32 = 40;
@@ -414,4 +414,120 @@ fn lossy_links_preserve_acked_durability() {
         kill_all_primaries(&r, SHARDS);
         verify_committed(&r, &committed);
     }
+}
+
+/// Per-shard ledger deltas and bus-message delta over one phase.
+#[derive(Debug, PartialEq)]
+struct PhaseDelta {
+    shards: Vec<LedgerSnapshot>,
+    bus_msgs: u64,
+}
+
+fn phase_marks(r: &ClusterRouter) -> (Vec<LedgerSnapshot>, u64) {
+    let shards = (0..SHARDS)
+        .map(|ix| r.shard_ledger(ix).snapshot())
+        .collect();
+    (shards, r.fabric_ledger().custom("bus_msgs"))
+}
+
+fn phase_delta(r: &ClusterRouter, (before, msgs): &(Vec<LedgerSnapshot>, u64)) -> PhaseDelta {
+    let (after, now) = phase_marks(r);
+    PhaseDelta {
+        shards: after.iter().zip(before).map(|(a, b)| a.since(b)).collect(),
+        bus_msgs: now - msgs,
+    }
+}
+
+/// One seeded replicated run: PUT into six keyspaces, compact + ship
+/// each, then 160 bounded RANGE windows. Returns the PUT delta, the
+/// compaction phase's bus messages and the RANGE delta.
+fn put_compact_range(plan: FaultPlan) -> (PhaseDelta, u64, PhaseDelta) {
+    const KEYSPACES: u32 = 6;
+    const KEYS_PER_KEYSPACE: u32 = 200;
+    const RANGES: usize = 160;
+    let r = ClusterRouter::new(ClusterConfig {
+        shards: SHARDS,
+        fault_plan: plan,
+        ..ClusterConfig::default()
+    });
+    let spaces: Vec<(u32, Vec<Vec<u8>>)> = (0..KEYSPACES)
+        .map(|s| {
+            let ks = match r.handle(KvCommand::CreateKeyspace {
+                name: format!("bench{s}"),
+            }) {
+                KvResponse::Created { ks } => ks,
+                other => panic!("create: {other:?}"),
+            };
+            let keys = (0..KEYS_PER_KEYSPACE)
+                .map(|i| format!("s{s}k{i:06}").into_bytes())
+                .collect();
+            (ks, keys)
+        })
+        .collect();
+
+    let marks = phase_marks(&r);
+    for (ks, keys) in &spaces {
+        for k in keys {
+            let put = r.handle(KvCommand::Put {
+                ks: *ks,
+                key: k.clone(),
+                value: value_for(k),
+            });
+            assert!(matches!(put, KvResponse::PutOk), "put: {put:?}");
+        }
+    }
+    let puts = phase_delta(&r, &marks);
+
+    // Synchronous seal + replica ship, then the background index ships.
+    let marks = phase_marks(&r);
+    for (ks, _) in &spaces {
+        assert!(compact_to_done(&r, *ks), "compact of keyspace {ks}");
+        while r.run_background() > 0 {}
+    }
+    let compact_msgs = phase_delta(&r, &marks).bus_msgs;
+
+    let marks = phase_marks(&r);
+    for i in 0..RANGES {
+        let (ks, keys) = &spaces[i % spaces.len()];
+        let lo = (i * 7) % keys.len();
+        let hi = (lo + 48).min(keys.len() - 1);
+        match r.handle(KvCommand::Range {
+            ks: *ks,
+            lo: Bound::Included(keys[lo].clone()),
+            hi: Bound::Included(keys[hi].clone()),
+            limit: None,
+        }) {
+            KvResponse::Entries(es) => assert!(!es.is_empty(), "range {i} returned no rows"),
+            other => panic!("range: {other:?}"),
+        }
+    }
+    (puts, compact_msgs, phase_delta(&r, &marks))
+}
+
+/// Link faults land only on the replication bus: point PUTs and
+/// scatter-gather RANGEs never touch it, and the link fault lane draws
+/// from its own RNG stream, so a lossy link leaves every shard's work in
+/// those phases unchanged and costs only the compaction's ships.
+#[test]
+fn lossy_links_cost_only_the_compaction_ships() {
+    let mut clean = FaultPlan::none();
+    clean.seed = 42;
+    let mut lossy = FaultPlan::none()
+        .with_link_faults(0.25, 0.25, 0.10, 0.50)
+        .with_link_delay_ns(50_000);
+    lossy.seed = 42;
+    let (clean_puts, clean_ships, clean_ranges) = put_compact_range(clean);
+    let (lossy_puts, lossy_ships, lossy_ranges) = put_compact_range(lossy);
+    for phase in [&clean_puts, &clean_ranges] {
+        assert_eq!(phase.bus_msgs, 0, "point ops and ranges stay off the bus");
+    }
+    assert_eq!(clean_puts, lossy_puts, "PUT phase perturbed by link faults");
+    assert_eq!(
+        clean_ranges, lossy_ranges,
+        "RANGE phase perturbed by link faults"
+    );
+    assert!(
+        lossy_ships > clean_ships,
+        "a lossy link must cost retransmits: {lossy_ships} vs {clean_ships} bus messages"
+    );
 }

@@ -11,15 +11,22 @@
 //! * every *visible* pair recomputes from its key (nothing is ever torn
 //!   or half-visible, staged batch or not);
 //! * pairs the accelerator never reported durable may vanish freely.
+//!
+//! The ingest gate prices the in-flight window in virtual time on one
+//! device and on a 2-shard cluster: the accelerator's pipelined bulk
+//! PUTs must beat one lock-step PUT per round trip by at least 3x.
 
 use std::sync::Arc;
 
-use kvcsd::cluster::{DeviceStack, StackBuilder};
+use kvcsd::cluster::{ClusterConfig, ClusterRouter, DeviceStack, StackBuilder};
 use kvcsd::device::DeviceConfig;
 use kvcsd::flash::{FlashGeometry, ZnsConfig};
-use kvcsd::proto::{JobState, KvCommand, KvResponse, KvStatus, QueuePair};
-use kvcsd::sim::{FaultPlan, VirtualClock};
-use kvcsd_client::{ClientError, InflightWindow, KvCsd, RetryPolicy};
+use kvcsd::proto::{
+    Bound, DeviceHandler, ExecProbe, JobState, KvCommand, KvResponse, KvStatus, QueuePair,
+};
+use kvcsd::sim::{FaultPlan, IoLedger, VirtualClock};
+use kvcsd_bench::Testbed;
+use kvcsd_client::{ClientError, InflightWindow, KvCsd, RetryPolicy, WriteAccelerator};
 
 const PAIRS: u32 = 600;
 const SYNC_EVERY: u32 = 150;
@@ -272,6 +279,30 @@ fn out_of_order_completions_match_under_seeded_faults() {
     }
 }
 
+/// A key too long for a bulk entry's length field ships alone and is
+/// refused, instead of being truncated and swallowing the pair packed
+/// after it: `flush` credits only pairs stored under their exact keys.
+#[test]
+fn flush_counts_only_pairs_stored_under_their_exact_keys() {
+    let t = Stack::new(FaultPlan::none());
+    let ks = t.client.create_keyspace("long").unwrap();
+    let accel = ks.write_accelerator();
+    let huge = vec![b'h'; 70_000];
+    let small = key_for(0);
+    accel.put(&huge, &value_for(&huge)).unwrap();
+    accel.put(&small, &value_for(&small)).unwrap();
+    assert!(matches!(
+        accel.flush(),
+        Err(ClientError::Device(KvStatus::BadValue))
+    ));
+    assert_eq!(accel.flush().unwrap(), 1);
+
+    ks.compact().unwrap();
+    t.stack.device().run_pending_jobs();
+    let stored = ks.range(Bound::Unbounded, Bound::Unbounded, None).unwrap();
+    assert_eq!(stored, vec![(small.clone(), value_for(&small))]);
+}
+
 /// One seeded pipelined ingest run: returns (final virtual time, every
 /// completion latency in claim order).
 fn ingest_schedule(seed: u64) -> (u64, Vec<u64>) {
@@ -319,4 +350,196 @@ fn same_seed_yields_the_same_completion_schedule() {
     let b = ingest_schedule(1337);
     assert_eq!(a, b, "pipelined completion schedule must be deterministic");
     assert!(!a.1.is_empty() && a.0 > 0);
+}
+
+// ---------------------------------------------------------------------
+// The ingest gate: lock-step vs. pipelined vs. accelerated
+// ---------------------------------------------------------------------
+
+const GATE_PAIRS: u32 = 4000;
+const GATE_SEED: u64 = 42;
+const GATE_VALUE_BYTES: usize = 64;
+const GATE_DEPTH: usize = 32;
+const GATE_LANES: usize = 4;
+const GATE_OUTSTANDING_BULKS: usize = 8;
+
+/// The three ways to ingest the same seeded stream.
+#[derive(Clone, Copy, Debug)]
+enum Arm {
+    /// Depth 1, one `PUT` per round trip: the paper client's model.
+    LockStep,
+    /// Depth 32, still one `PUT` per command, overlapped in the window.
+    Pipelined,
+    /// Depth 32 and the write accelerator's key-sorted `BULK_PUT`s.
+    Accelerated,
+}
+
+impl Arm {
+    fn depth(self) -> usize {
+        match self {
+            Arm::LockStep => 1,
+            Arm::Pipelined | Arm::Accelerated => GATE_DEPTH,
+        }
+    }
+}
+
+fn gate_key(i: u32) -> Vec<u8> {
+    // Seed-dependent shuffle so the accelerator's sort has real work.
+    let x = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ GATE_SEED;
+    format!("k{:06}x{:04}", x % GATE_PAIRS as u64, i % 10_000).into_bytes()
+}
+
+fn gate_value(key: &[u8]) -> Vec<u8> {
+    let mut x = 0x243f_6a88_85a3_08d3u64 ^ GATE_SEED;
+    for &b in key {
+        x ^= b as u64;
+        x = x.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (0..GATE_VALUE_BYTES)
+        .map(|i| ((x >> ((i % 8) * 8)) as u8).wrapping_add(i as u8))
+        .collect()
+}
+
+/// Virtual time and PCIe traffic of one arm's ingest.
+#[derive(Debug)]
+struct ArmRun {
+    virtual_ns: u64,
+    pcie_msgs: u64,
+    pcie_h2d_bytes: u64,
+    pcie_d2h_bytes: u64,
+}
+
+impl ArmRun {
+    /// PCIe `(messages, h2d bytes, d2h bytes)`.
+    fn traffic(&self) -> (u64, u64, u64) {
+        (self.pcie_msgs, self.pcie_h2d_bytes, self.pcie_d2h_bytes)
+    }
+}
+
+/// Ingest the seeded stream through `arm` over a pipelined queue pair
+/// whose shared ledger is `ledger`.
+fn drive_arm(arm: Arm, qp: QueuePair, ledger: &IoLedger, clock: &Arc<VirtualClock>) -> ArmRun {
+    let win = InflightWindow::new(qp.clone(), RetryPolicy::none(), Some(Arc::clone(clock)));
+    let ks = match win.call(
+        None,
+        KvCommand::CreateKeyspace {
+            name: "ingest".into(),
+        },
+    ) {
+        Ok(KvResponse::Created { ks }) => ks,
+        other => panic!("create: {other:?}"),
+    };
+    let led0 = ledger.snapshot();
+    let t0 = clock.now_ns();
+    match arm {
+        Arm::LockStep | Arm::Pipelined => {
+            let ops: Vec<_> = (0..GATE_PAIRS)
+                .map(|i| {
+                    let key = gate_key(i);
+                    let value = gate_value(&key);
+                    win.submit(None, KvCommand::Put { ks, key, value })
+                })
+                .collect();
+            for op in ops {
+                match win.wait(op) {
+                    Ok(KvResponse::PutOk) => {}
+                    other => panic!("put: {other:?}"),
+                }
+            }
+        }
+        Arm::Accelerated => {
+            let accel =
+                WriteAccelerator::new(qp, ks, RetryPolicy::none(), Some(Arc::clone(clock)), None)
+                    .with_depth(GATE_OUTSTANDING_BULKS);
+            for i in 0..GATE_PAIRS {
+                let key = gate_key(i);
+                accel.put(&key, &gate_value(&key)).expect("accelerated put");
+            }
+            let acked = accel.flush().expect("flush");
+            assert_eq!(acked, GATE_PAIRS as u64, "every staged pair must be acked");
+        }
+    }
+    let led = ledger.snapshot().since(&led0);
+    ArmRun {
+        virtual_ns: clock.now_ns() - t0,
+        pcie_msgs: led.pcie_msgs,
+        pcie_h2d_bytes: led.pcie_h2d_bytes,
+        pcie_d2h_bytes: led.pcie_d2h_bytes,
+    }
+}
+
+/// One arm against a fresh single device.
+fn single_device_arm(arm: Arm) -> ArmRun {
+    let tb = Testbed::new();
+    let (dev, _client) = tb.kvcsd(4 << 20, 64 << 20, 1);
+    let clock = Arc::new(VirtualClock::new());
+    let qp = QueuePair::new(dev as Arc<dyn DeviceHandler>, Arc::clone(&tb.ledger)).with_pipeline(
+        Arc::clone(&clock),
+        arm.depth(),
+        GATE_LANES,
+        None,
+    );
+    drive_arm(arm, qp, &tb.ledger, &clock)
+}
+
+/// One arm against a fresh 2-shard cluster. The execution probe is the
+/// router's host clock, which fan-outs advance by the slowest shard's
+/// busy delta.
+fn two_shard_arm(arm: Arm) -> ArmRun {
+    let r = Arc::new(ClusterRouter::new(ClusterConfig {
+        shards: 2,
+        ..ClusterConfig::default()
+    }));
+    let hc = Arc::clone(r.host_clock());
+    let probe: ExecProbe = Arc::new(move || hc.now_ns());
+    let ledger = Arc::new(IoLedger::new(16, 4096));
+    let clock = Arc::new(VirtualClock::new());
+    let qp = QueuePair::new(r as Arc<dyn DeviceHandler>, Arc::clone(&ledger)).with_pipeline(
+        Arc::clone(&clock),
+        arm.depth(),
+        GATE_LANES,
+        Some(probe),
+    );
+    drive_arm(arm, qp, &ledger, &clock)
+}
+
+/// The gate: accelerated ingest beats lock-step by at least 3x, and
+/// the pipelined arm gets its gain from overlap alone.
+fn assert_ingest_gate(topology: &str, run: fn(Arm) -> ArmRun) {
+    let lock_step = run(Arm::LockStep);
+    let pipelined = run(Arm::Pipelined);
+    let accelerated = run(Arm::Accelerated);
+    // Same pair count in every arm, so the throughput ratio is the
+    // inverse ratio of virtual times.
+    let speedup = lock_step.virtual_ns as f64 / accelerated.virtual_ns.max(1) as f64;
+    assert!(
+        speedup >= 3.0,
+        "{topology}: accelerated ingest is only {speedup:.2}x lock-step (< 3x): \
+         {lock_step:?} vs {accelerated:?}"
+    );
+    assert!(
+        pipelined.virtual_ns < lock_step.virtual_ns,
+        "{topology}: the window must overlap commands: {pipelined:?} vs {lock_step:?}"
+    );
+    assert_eq!(
+        pipelined.traffic(),
+        lock_step.traffic(),
+        "{topology}: depth changes overlap, not traffic"
+    );
+    assert_eq!(lock_step.pcie_msgs, GATE_PAIRS as u64, "{topology}");
+    assert!(
+        accelerated.pcie_msgs < lock_step.pcie_msgs / 100
+            && accelerated.pcie_h2d_bytes < lock_step.pcie_h2d_bytes,
+        "{topology}: bulks must pack many pairs per message: {accelerated:?}"
+    );
+}
+
+#[test]
+fn accelerated_ingest_beats_lock_step_3x_on_one_device() {
+    assert_ingest_gate("single device", single_device_arm);
+}
+
+#[test]
+fn accelerated_ingest_beats_lock_step_3x_on_two_shards() {
+    assert_ingest_gate("two shards", two_shard_arm);
 }
